@@ -1,15 +1,20 @@
 """One-vs-rest linear SVMs trained by averaged stochastic subgradient descent,
-plus the leave-one-actor-out evaluation harness with blended confusion matrices."""
+plus the leave-one-actor-out evaluation harness with blended confusion matrices.
+
+Model files are ``media.save_arrays`` archives; confusion matrices, which
+people read and edit, are CSV text.
+"""
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .encoding import fisher_vector, fit_gmm
+from .media import load_arrays, save_arrays
 
 
 @dataclass(frozen=True)
@@ -38,7 +43,8 @@ class SvmModel:
     labels: tuple
 
     def __post_init__(self):
-        if len(self.labels) != len(self.weights) or len(self.biases) != len(self.weights):
+        if (self.weights.ndim != 2 or len(self.labels) != len(self.weights)
+                or self.biases.shape != (len(self.weights),)):
             raise ValueError("one weight vector and bias per class required")
         if not np.isfinite(self.weights).all() or not np.isfinite(self.biases).all():
             raise ValueError("model parameters must be finite")
@@ -124,8 +130,7 @@ def accuracy(cm: ConfusionMatrix) -> float:
 
 def leave_one_actor_out(videos, k: int = 64, C: float = 1.0, epochs: int = 50,
                         seed: int = 0, max_iters: int = 100,
-                        gmm_max_points: int = 100_000,
-                        standardize: bool = False) -> ConfusionMatrix:
+                        gmm_max_points: int = 100_000) -> ConfusionMatrix:
     """One fold per actor: the fold's videos are tested against a codebook
     and SVM fit on the remaining actors only; fold confusion matrices are
     summed into the blended matrix."""
@@ -147,25 +152,19 @@ def leave_one_actor_out(videos, k: int = 64, C: float = 1.0, epochs: int = 50,
             raise ValueError(f"fold for actor {actor} misses classes {missing} in training")
 
         fold_seed = derive_seed(seed, f"fold:{actor}")
-        pool = np.vstack([v.descriptors for v in train_videos if len(v.descriptors)])
+        pool = [v.descriptors for v in train_videos if len(v.descriptors)]
+        if not pool:
+            raise ValueError(f"fold for actor {actor} has no training descriptors")
+        pool = np.vstack(pool)
         if len(pool) > gmm_max_points:
             rng = np.random.default_rng(fold_seed)
             pool = pool[rng.choice(len(pool), gmm_max_points, replace=False)]
-        mean = pool.mean(axis=0) if standardize else np.zeros(pool.shape[1])
-        scale = pool.std(axis=0) if standardize else np.ones(pool.shape[1])
-        scale = np.where(scale > 0, scale, 1.0)
-        codebook = fit_gmm((pool - mean) / scale, k=k, seed=fold_seed,
-                           max_iters=max_iters)
-
-        def encode(v):
-            if len(v.descriptors) == 0:
-                return fisher_vector(np.zeros((0, codebook.dim)), codebook)
-            return fisher_vector((v.descriptors - mean) / scale, codebook)
-
-        model = train([LabeledVideo(encode(v), v.label, v.actor) for v in train_videos],
-                      C=C, epochs=epochs, seed=fold_seed)
+        codebook = fit_gmm(pool, k=k, seed=fold_seed, max_iters=max_iters)
+        model = train([LabeledVideo(fisher_vector(v.descriptors, codebook), v.label, v.actor)
+                       for v in train_videos], C=C, epochs=epochs, seed=fold_seed)
         for v in test_videos:
-            counts[index[v.label], index[predict(model, encode(v))]] += 1
+            fv = fisher_vector(v.descriptors, codebook)
+            counts[index[v.label], index[predict(model, fv)]] += 1
     return ConfusionMatrix(counts=counts, labels=labels)
 
 
@@ -174,26 +173,17 @@ def leave_one_actor_out(videos, k: int = 64, C: float = 1.0, epochs: int = 50,
 
 
 def write_model(path, model: SvmModel) -> None:
-    lines = []
-    for lab, w, bias in zip(model.labels, model.weights, model.biases):
-        lines.append(lab)
-        lines.append(" ".join(repr(float(x)) for x in w))
-        lines.append(repr(float(bias)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    save_arrays(path, labels=np.array(model.labels, dtype=str), weights=model.weights,
+                biases=model.biases)
 
 
 def read_model(path) -> SvmModel:
-    lines = Path(path).read_text().splitlines()
-    lines = [l for l in lines if l.strip()]
-    if len(lines) % 3 != 0 or not lines:
-        raise ValueError("malformed model file")
-    labels, weights, biases = [], [], []
-    for i in range(0, len(lines), 3):
-        labels.append(lines[i].strip())
-        weights.append(np.array([float(x) for x in lines[i + 1].split()]))
-        biases.append(float(lines[i + 2]))
-    return SvmModel(weights=np.stack(weights), biases=np.array(biases),
-                    labels=tuple(labels))
+    arrays = load_arrays(path, ("labels", "weights", "biases"))
+    try:
+        return SvmModel(weights=arrays["weights"], biases=arrays["biases"],
+                        labels=tuple(arrays["labels"].tolist()))
+    except ValueError as exc:
+        raise ValueError(f"model file {path}: {exc}") from None
 
 
 def write_confusion_csv(path, cm: ConfusionMatrix) -> None:

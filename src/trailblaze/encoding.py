@@ -3,15 +3,16 @@
 The codebook is seeded with k-means++ and refined by EM until the per-point
 log-likelihood gain drops below 1e-6.  Encoding keeps the mean and variance
 gradient blocks (dimension 2*N*K), then applies signed square-root and L2
-normalization.
+normalization.  Codebook files are ``media.save_arrays`` archives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from .media import load_arrays, save_arrays
 
 VARIANCE_FLOOR = 1e-6
 EM_TOL = 1e-6
@@ -24,6 +25,11 @@ class FisherCodebook:
     variances: np.ndarray  # (K, N), diagonal
 
     def __post_init__(self):
+        k = len(self.weights)
+        if (self.weights.ndim != 1 or self.means.ndim != 2 or len(self.means) != k
+                or self.variances.shape != self.means.shape):
+            raise ValueError(f"codebook needs weights (K,), means and variances (K, N); got "
+                             f"{self.weights.shape}, {self.means.shape}, {self.variances.shape}")
         if abs(self.weights.sum() - 1.0) > 1e-9:
             raise ValueError("mixture weights must sum to 1")
         if np.any(self.variances < VARIANCE_FLOOR - 1e-12):
@@ -114,6 +120,8 @@ def fisher_vector(descriptors, codebook: FisherCodebook) -> np.ndarray:
     X = np.atleast_2d(X)
     if X.shape[1] != N:
         raise ValueError(f"descriptor dimension {X.shape[1]} does not match codebook {N}")
+    if not np.isfinite(X).all():
+        raise ValueError("descriptors contain non-finite values")
     fv = _fv_blocks(X, codebook).ravel()
     fv = np.sign(fv) * np.sqrt(np.abs(fv))
     norm = np.linalg.norm(fv)
@@ -142,26 +150,17 @@ def gmm_log_likelihood(X, weights, means, variances) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Codebook files: header `K N`, then weights, K mean rows, K variance rows
+# Codebook files
 
 
 def write_codebook(path, codebook: FisherCodebook) -> None:
-    lines = [f"{codebook.k} {codebook.dim}"]
-    lines.append(" ".join(repr(float(w)) for w in codebook.weights))
-    for row in codebook.means:
-        lines.append(" ".join(repr(float(x)) for x in row))
-    for row in codebook.variances:
-        lines.append(" ".join(repr(float(x)) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    save_arrays(path, weights=codebook.weights, means=codebook.means,
+                variances=codebook.variances)
 
 
 def read_codebook(path) -> FisherCodebook:
-    lines = [l for l in Path(path).read_text().splitlines() if l.strip()]
-    k, n = (int(x) for x in lines[0].split())
-    weights = np.array([float(x) for x in lines[1].split()])
-    rows = [np.array([float(x) for x in line.split()]) for line in lines[2:2 + 2 * k]]
-    means = np.stack(rows[:k])
-    variances = np.stack(rows[k:])
-    if means.shape != (k, n) or variances.shape != (k, n):
-        raise ValueError("codebook file shape mismatch")
-    return FisherCodebook(weights=weights, means=means, variances=variances)
+    arrays = load_arrays(path, ("weights", "means", "variances"))
+    try:
+        return FisherCodebook(**arrays)
+    except ValueError as exc:
+        raise ValueError(f"codebook file {path}: {exc}") from None

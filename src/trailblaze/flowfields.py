@@ -1,7 +1,8 @@
 """Sparse pyramidal Lucas-Kanade tracking and dense Farneback-style flow.
 
-Both operate on intensities scaled to [0, 1] with replicate-edge borders
-and a 3-level half-resolution pyramid (5x5 binomial antialiasing).
+Both take frames or 2-D arrays in 0-255 units and divide every frame by 255,
+so all frames of a clip share one scale.  Borders replicate the edge; the
+pyramid has 3 half-resolution levels (5x5 binomial antialiasing).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .media import Frame
+from .media import _bilinear, _gray
 
 BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
@@ -46,17 +47,6 @@ class FlowField:
         return self.u.shape[0]
 
 
-def _to_float(frame) -> np.ndarray:
-    if isinstance(frame, Frame):
-        return frame.gray_array() / 255.0
-    arr = np.asarray(frame, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("expected grayscale image")
-    if arr.max(initial=0.0) > 1.5:
-        arr = arr / 255.0
-    return arr
-
-
 def _downsample(img: np.ndarray) -> np.ndarray:
     sm = ndimage.correlate1d(img, BINOMIAL5, axis=0, mode="nearest")
     sm = ndimage.correlate1d(sm, BINOMIAL5, axis=1, mode="nearest")
@@ -71,19 +61,6 @@ def _pyramid(img: np.ndarray, levels: int, min_dim: int) -> list:
             break
         pyr.append(nxt)
     return pyr
-
-
-def _bilinear(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Replicate-edge bilinear sampling at float coordinates."""
-    h, w = img.shape
-    xs = np.clip(xs, 0.0, w - 1.0)
-    ys = np.clip(ys, 0.0, h - 1.0)
-    x0 = np.minimum(np.floor(xs).astype(int), w - 2) if w > 1 else np.zeros_like(xs, int)
-    y0 = np.minimum(np.floor(ys).astype(int), h - 2) if h > 1 else np.zeros_like(ys, int)
-    fx = xs - x0
-    fy = ys - y0
-    return (img[y0, x0] * (1 - fx) * (1 - fy) + img[y0, x0 + 1] * fx * (1 - fy)
-            + img[y0 + 1, x0] * (1 - fx) * fy + img[y0 + 1, x0 + 1] * fx * fy)
 
 
 def _gradients(img: np.ndarray) -> tuple:
@@ -105,8 +82,8 @@ def lk_track(prev, next, points, levels: int = 3, window: int = 15) -> list:
     (smaller eigenvalue below 1e-4 * window^2) or when the tracking window
     leaves the frame.
     """
-    img0 = _to_float(prev)
-    img1 = _to_float(next)
+    img0 = _gray(prev) / 255.0
+    img1 = _gray(next) / 255.0
     if img0.shape != img1.shape:
         raise ValueError("frames must share dimensions")
     if levels < 1:
@@ -250,8 +227,8 @@ def farneback_flow(prev, next, levels: int = 3, window: int = 15,
     solves the window-averaged expansion-difference equations and is refined
     `iterations` times per level, coarse to fine.
     """
-    img0 = _to_float(prev)
-    img1 = _to_float(next)
+    img0 = _gray(prev) / 255.0
+    img1 = _gray(next) / 255.0
     if img0.shape != img1.shape:
         raise ValueError("frames must share dimensions")
     if levels < 1 or iterations < 1:

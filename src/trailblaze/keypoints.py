@@ -1,4 +1,8 @@
-"""FAST corners, gradient-orientation patch descriptors, reciprocal matching."""
+"""FAST corners, gradient-orientation patch descriptors, reciprocal matching.
+
+Images are Frames (color ones converted to grayscale) or 2-D arrays in 0-255
+units.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .media import Frame
+from .media import _gray
 
 # 16-pixel Bresenham circle of radius 3, clockwise from the top
 CIRCLE = [(0, -3), (1, -3), (2, -2), (3, -1), (3, 0), (3, 1), (2, 2), (1, 3),
@@ -23,22 +27,11 @@ class Corner:
     score: float
 
 
-def _as_gray(frame) -> np.ndarray:
-    if isinstance(frame, Frame):
-        if frame.channels != 1:
-            raise ValueError("expected a grayscale frame")
-        return frame.data.astype(np.float64)
-    arr = np.asarray(frame)
-    if arr.ndim != 2:
-        raise ValueError("expected a grayscale frame")
-    return arr.astype(np.float64)
-
-
 def detect_fast(gray, threshold: float = 20.0, arc: int = 9) -> list:
     """Segment-test corners: >= `arc` contiguous circle pixels all brighter
     than center+threshold or all darker than center-threshold, followed by
     3x3 non-maximum suppression on the exceedance-sum score."""
-    img = _as_gray(gray)
+    img = _gray(gray)
     h, w = img.shape
     if h < 7 or w < 7:
         raise ValueError(f"frame {w}x{h} smaller than 7x7")
@@ -82,7 +75,7 @@ def describe_patch(gray, p, patch: int = 16) -> np.ndarray:
     histograms over a 4x4 cell grid, L2-normalized, entries clamped at 0.2
     and renormalized.  A gradient-free patch yields the zero vector.
     """
-    img = _as_gray(gray)
+    img = _gray(gray)
     h, w = img.shape
     half = patch // 2
     x0 = int(round(p[0])) - half

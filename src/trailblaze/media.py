@@ -1,16 +1,23 @@
-"""Frame and clip handling plus a ground-truth-bearing synthetic stereo generator.
+"""Frame and clip handling, the shared pixel and artifact helpers, and a
+ground-truth-bearing synthetic stereo generator.
 
 Clips are directories of binary PGM (P5) / PPM (P6) frames named
-``frame_000000.pgm`` onwards.  The synthetic generator renders textured
-square sprites moving along parametric paths, seen by a pinhole stereo
-pair with horizontal baseline (optionally toed-in), and reports exact
-per-frame projections, disparities and the fundamental matrix.
+``frame_000000.pgm`` onwards.  The layers that read pixels convert them with
+``_gray`` (float64 grayscale in 0-255 units) and sample them with
+``_bilinear``.
+Numeric artifacts (descriptors, codebooks, models) are ``.npz`` archives of
+named arrays written by ``save_arrays`` and read back, without pickle, by
+``load_arrays``.  The synthetic generator renders textured square sprites
+moving along parametric paths, seen by a pinhole stereo pair with horizontal
+baseline (optionally toed-in), and reports exact per-frame projections,
+disparities and the fundamental matrix.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,10 +51,6 @@ class Frame:
             arr = np.clip(np.round(arr), 0, 255).astype(np.uint8)
         channels = 1 if arr.ndim == 2 else arr.shape[2]
         return cls(width=arr.shape[1], height=arr.shape[0], channels=channels, data=arr)
-
-    def gray_array(self) -> np.ndarray:
-        """Grayscale pixel data as float64, shape (h, w)."""
-        return to_grayscale(self).data.astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,66 @@ def to_grayscale(frame: Frame) -> Frame:
     y = rgb[..., 0] * GRAY_WEIGHTS[0] + rgb[..., 1] * GRAY_WEIGHTS[1] + rgb[..., 2] * GRAY_WEIGHTS[2]
     y = np.clip(np.floor(y + 0.5), 0, 255).astype(np.uint8)
     return Frame(frame.width, frame.height, 1, y)
+
+
+def _gray(image) -> np.ndarray:
+    """Grayscale intensities as float64 (h, w) in 0-255 units.
+
+    A Frame goes through `to_grayscale`; a 2-D array is cast to float64.
+    """
+    if isinstance(image, Frame):
+        return to_grayscale(image).data.astype(np.float64)
+    arr = np.asarray(image, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a Frame or a 2-D grayscale array, got shape {arr.shape}")
+    return arr
+
+
+def _bilinear(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Replicate-edge bilinear sampling of `img` at float coordinates."""
+    h, w = img.shape
+    xs = np.clip(xs, 0.0, w - 1.0)
+    ys = np.clip(ys, 0.0, h - 1.0)
+    x0 = np.minimum(np.floor(xs).astype(int), max(w - 2, 0))
+    y0 = np.minimum(np.floor(ys).astype(int), max(h - 2, 0))
+    x1 = x0 + (w > 1)
+    y1 = y0 + (h > 1)
+    fx = xs - x0
+    fy = ys - y0
+    return (img[y0, x0] * (1 - fx) * (1 - fy) + img[y0, x1] * fx * (1 - fy)
+            + img[y1, x0] * (1 - fx) * fy + img[y1, x1] * fx * fy)
+
+
+# ---------------------------------------------------------------------------
+# Numeric artifacts: one .npz archive of named arrays per file
+
+
+def save_arrays(path, **arrays) -> None:
+    """Write the named arrays to one ``.npz`` archive at exactly `path`."""
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def load_arrays(path, names) -> dict:
+    """Read the arrays `names` from an archive written by `save_arrays`.
+
+    Raises ValueError naming `path` when the file is not such an archive or
+    lacks one of the arrays; a missing file raises FileNotFoundError.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = np.load(fh, allow_pickle=False)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ValueError("not an .npz archive")
+            arrays = {n: data[n] for n in names if n in data.files}
+    except FileNotFoundError:
+        raise
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"unreadable array file {path}: {exc}") from None
+    missing = [n for n in names if n not in arrays]
+    if missing:
+        raise ValueError(f"array file {path} lacks {missing}")
+    return arrays
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +403,8 @@ def _paint_sprite(img: np.ndarray, tex: np.ndarray, topleft, Hinv: np.ndarray | 
     inside = (tx >= 0) & (tx <= size - 1) & (ty >= 0) & (ty <= size - 1)
     if not inside.any():
         return
-    txi, tyi = tx[inside], ty[inside]
-    ix, iy = np.floor(txi).astype(int), np.floor(tyi).astype(int)
-    ix = np.minimum(ix, size - 2)
-    iy = np.minimum(iy, size - 2)
-    fx, fy = txi - ix, tyi - iy
-    val = (tex[iy, ix] * (1 - fx) * (1 - fy) + tex[iy, ix + 1] * fx * (1 - fy)
-           + tex[iy + 1, ix] * (1 - fx) * fy + tex[iy + 1, ix + 1] * fx * fy)
     sub = img[y0:y1, x0:x1]
-    sub[inside] = val
+    sub[inside] = _bilinear(tex, tx[inside], ty[inside])
 
 
 def synth_stereo(spec: SceneSpec, clip_id: str = "scene") -> tuple:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .media import Frame
+from .media import _gray
 
 INIT_VARIANCE = 225.0   # sigma 15 for fresh components
 MIN_VARIANCE = 4.0
@@ -40,12 +40,6 @@ class BackgroundModel:
     @property
     def shape(self):
         return self.means.shape[1:]
-
-
-def _gray(frame) -> np.ndarray:
-    if isinstance(frame, Frame):
-        return frame.gray_array()
-    return np.asarray(frame, dtype=np.float64)
 
 
 def update_and_subtract(model: BackgroundModel, frame) -> tuple:

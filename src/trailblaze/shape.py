@@ -1,16 +1,18 @@
 """Trajectory shape descriptors: concatenated forward-difference derivatives.
 
-The order-r descriptor of an (l+1)-point trajectory in n dimensions stacks
-the derivative sequences of orders 1..r, each point flattened x,y[,d] and
-points laid out in time order.  Its dimension is n*(r*(l+1) - r*(r+1)/2).
+The order-r descriptor of an (l+1, n) point array stacks the difference
+sequences of orders 1..r, each point flattened x,y[,d] and points laid out in
+time order.  Its dimension is n*(r*(l+1) - r*(r+1)/2).  Descriptor files are
+``media.save_arrays`` archives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from .media import load_arrays, save_arrays
 
 MAX_ORDER = 7
 
@@ -31,24 +33,9 @@ def descriptor_dim(n: int, l: int, r: int) -> int:
     return n * (r * (l + 1) - r * (r + 1) // 2)
 
 
-def derivative(seq) -> np.ndarray:
-    """Forward difference per frame step: out[i] = seq[i+1] - seq[i]."""
-    pts = np.asarray(seq, dtype=np.float64)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if len(pts) < 2:
-        raise ValueError("need at least 2 points to differentiate")
-    return np.diff(pts, axis=0)
-
-
-def describe(traj, r: int, normalize: bool = False) -> ShapeDescriptor:
-    """Concatenation of derivatives of orders 1..r of a trajectory.
-
-    `traj` is a tracking.Trajectory or an (l+1, n) array.  When `normalize`
-    is set the vector is scaled by its sum of magnitudes (experiment knob,
-    off by default).
-    """
-    pts = np.asarray(getattr(traj, "points", traj), dtype=np.float64)
+def describe(traj, r: int) -> ShapeDescriptor:
+    """Concatenation of derivatives of orders 1..r of an (l+1, n) point array."""
+    pts = np.asarray(traj, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError("trajectory must be a 2-D point array")
     l = len(pts) - 1
@@ -64,38 +51,35 @@ def describe(traj, r: int, normalize: bool = False) -> ShapeDescriptor:
     for _ in range(r):
         cur = np.diff(cur, axis=0)
         blocks.append(cur.ravel())
-    values = np.concatenate(blocks)
-    if normalize:
-        s = np.abs(values).sum()
-        if s > 0:
-            values = values / s
-    return ShapeDescriptor(values=values, r=r, n=n, l=l)
+    return ShapeDescriptor(values=np.concatenate(blocks), r=r, n=n, l=l)
 
 
 # ---------------------------------------------------------------------------
-# Descriptor files: one line per descriptor, `clip_id label n l r v0 v1 ...`
+# Descriptor files: per row a clip id, a label and (n, l, r); the values of all
+# rows concatenated in row order
 
 
 def write_descriptors(path, rows) -> None:
     """rows: iterable of (clip_id, label, ShapeDescriptor)."""
-    lines = []
-    for clip_id, label, desc in rows:
-        vals = " ".join(f"{v:.6f}" for v in desc.values)
-        lines.append(f"{clip_id} {label} {desc.n} {desc.l} {desc.r} {vals}")
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    rows = list(rows)
+    shapes = np.array([(d.n, d.l, d.r) for _, _, d in rows], dtype=np.int64).reshape(-1, 3)
+    save_arrays(path,
+                clip_ids=np.array([c for c, _, _ in rows], dtype=str),
+                labels=np.array([lab for _, lab, _ in rows], dtype=str),
+                shapes=shapes,
+                values=np.concatenate([np.zeros(0)] + [d.values.ravel() for _, _, d in rows]))
 
 
 def read_descriptors(path) -> list:
     """Returns a list of (clip_id, label, ShapeDescriptor)."""
-    out = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        if not line.strip():
-            continue
-        parts = line.split()
-        if len(parts) < 5:
-            raise ValueError(f"descriptor file line {lineno}: too few fields")
-        clip_id, label = parts[0], parts[1]
-        n, l, r = int(parts[2]), int(parts[3]), int(parts[4])
-        values = np.array([float(x) for x in parts[5:]])
-        out.append((clip_id, label, ShapeDescriptor(values=values, r=r, n=n, l=l)))
-    return out
+    a = load_arrays(path, ("clip_ids", "labels", "shapes", "values"))
+    ids, labels, shapes, values = a["clip_ids"], a["labels"], a["shapes"], a["values"]
+    if (ids.ndim != 1 or labels.shape != ids.shape or shapes.shape != (len(ids), 3)
+            or values.ndim != 1):
+        raise ValueError(f"descriptor file {path}: needs one clip id, label and (n, l, r) per row")
+    sizes = [descriptor_dim(*(int(x) for x in s)) for s in shapes]
+    if sum(sizes) != values.size:
+        raise ValueError(f"descriptor file {path}: {values.size} values for {sum(sizes)} entries")
+    parts = np.split(values, np.cumsum(sizes)[:-1])
+    return [(str(c), str(lab), ShapeDescriptor(values=v, r=int(r), n=int(n), l=int(l)))
+            for c, lab, (n, l, r), v in zip(ids, labels, shapes, parts)]

@@ -6,6 +6,7 @@ from trailblaze.classify import (
     leave_one_actor_out, predict, read_confusion_csv, read_model, train,
     write_confusion_csv, write_model,
 )
+from trailblaze.media import save_arrays
 
 
 def separable_blobs(seed=0, per_class=20, gap=4.0):
@@ -154,6 +155,13 @@ class TestLeaveOneActorOut:
         with pytest.raises(ValueError, match="actors"):
             leave_one_actor_out(videos, k=2)
 
+    def test_fold_without_training_descriptors_names_actor(self):
+        videos = [VideoSample(v.clip_id, v.label, v.actor,
+                              v.descriptors[:0] if v.actor == "actor0" else v.descriptors)
+                  for v in one_hot_videos(classes=2, actors=2, reps=2)]
+        with pytest.raises(ValueError, match="actor1"):
+            leave_one_actor_out(videos, k=2, epochs=5, seed=0)
+
     def test_deterministic(self):
         videos = one_hot_videos()
         a = leave_one_actor_out(videos, k=2, epochs=10, seed=5)
@@ -170,6 +178,22 @@ class TestModelIO:
         assert back.labels == model.labels
         assert np.array_equal(back.weights, model.weights)
         assert np.array_equal(back.biases, model.biases)
+
+    @pytest.mark.parametrize("damage", [
+        lambda a: a.pop("biases"),
+        lambda a: a.update(labels=a["labels"][:1]),
+        lambda a: a.update(biases=a["biases"][:1]),
+        lambda a: a.update(weights=a["weights"].ravel()),
+    ])
+    def test_damaged_file_names_path(self, tmp_path, damage):
+        model = train(separable_blobs(seed=11), seed=0)
+        arrays = dict(labels=np.array(model.labels), weights=model.weights,
+                      biases=model.biases)
+        damage(arrays)
+        p = tmp_path / "model.npz"
+        save_arrays(p, **arrays)
+        with pytest.raises(ValueError, match=r"model\.npz"):
+            read_model(p)
 
     def test_confusion_csv_round_trip(self, tmp_path):
         cm = ConfusionMatrix(np.array([[5, 1], [2, 7]]), ("jump", "walk"))

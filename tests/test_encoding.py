@@ -5,6 +5,7 @@ from trailblaze.encoding import (
     FisherCodebook, _fv_blocks, _log_responsibilities, fisher_vector, fit_gmm,
     gmm_log_likelihood, read_codebook, write_codebook,
 )
+from trailblaze.media import save_arrays
 
 
 def make_codebook(seed=0, k=3, n=4):
@@ -99,6 +100,13 @@ class TestFisherVector:
         with pytest.raises(ValueError, match="dimension"):
             fisher_vector(np.zeros((5, 3)), cb)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        X = np.random.default_rng(6).normal(0, 1, (50, 4))
+        X[7, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fisher_vector(X, make_codebook())
+
     def test_permutation_invariance(self):
         rng = np.random.default_rng(6)
         X = rng.normal(0, 1, (25, 4))
@@ -164,3 +172,18 @@ class TestCodebookIO:
         assert np.array_equal(back.weights, cb.weights)
         assert np.array_equal(back.means, cb.means)
         assert np.array_equal(back.variances, cb.variances)
+
+    @pytest.mark.parametrize("damage", [
+        lambda a: a.pop("variances"),
+        lambda a: a.update(variances=a["variances"][:-1]),
+        lambda a: a.update(means=a["means"][:, :-1]),
+        lambda a: a.update(weights=a["weights"][:, None]),
+    ])
+    def test_damaged_file_names_path(self, tmp_path, damage):
+        cb = make_codebook(seed=12, k=4, n=3)
+        arrays = dict(weights=cb.weights, means=cb.means, variances=cb.variances)
+        damage(arrays)
+        p = tmp_path / "cb.npz"
+        save_arrays(p, **arrays)
+        with pytest.raises(ValueError, match=r"cb\.npz"):
+            read_codebook(p)

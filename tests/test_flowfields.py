@@ -127,6 +127,18 @@ class TestFarneback:
         with pytest.raises(ValueError, match="dimensions"):
             farneback_flow(np.zeros((20, 20)), np.zeros((30, 30)))
 
+    def test_one_scale_for_every_frame(self):
+        # a [0, 1] frame and the same frame with one 0-255 pixel must share a
+        # scale: the single far-corner pixel may not move the central flow
+        img = smooth_texture(10, shape=(64, 64))
+        img = img / img.max()
+        hot = img.copy()
+        hot[0, 0] = 200.0
+        field = farneback_flow(img, hot)
+        inner = np.s_[16:48, 16:48]
+        assert np.abs(field.u[inner]).max() < 1e-6
+        assert np.abs(field.v[inner]).max() < 1e-6
+
     def test_finite_everywhere(self):
         img = np.full((48, 64), 80.0)  # flat: solver must stay finite
         field = farneback_flow(img, img)
@@ -153,6 +165,10 @@ class TestSampleFlow:
         f = FlowField(u=np.full((5, 5), 3.25), v=np.full((5, 5), -1.5))
         for p in [(0.0, 0.0), (2.7, 3.1), (4.0, 4.0)]:
             assert sample_flow(f, p) == (3.25, -1.5)
+
+    def test_single_column_field(self):
+        f = FlowField(u=np.array([[1.0], [2.0], [4.0]]), v=np.array([[0.0], [-2.0], [-6.0]]))
+        assert sample_flow(f, (0.0, 1.5)) == (3.0, -4.0)
 
     def test_out_of_bounds(self):
         with pytest.raises(ValueError, match="outside"):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trailblaze.keypoints import CIRCLE, describe_patch, detect_fast, match_reciprocal
+from trailblaze.media import Frame, to_grayscale
 
 
 def segment_test_oracle(img, x, y, threshold, arc=9):
@@ -66,6 +67,14 @@ class TestDetectFast:
         img = rng.integers(0, 256, (20, 20)).astype(np.float64)
         for c in detect_fast(img, threshold=10.0):
             assert 3 <= c.x < 17 and 3 <= c.y < 17
+
+    def test_rgb_frame_converted(self):
+        rng = np.random.default_rng(5)
+        frame = Frame.from_array(rng.integers(0, 256, (32, 40, 3)).astype(np.uint8))
+        gray = to_grayscale(frame).data
+        corners = detect_fast(frame)
+        assert corners and corners == detect_fast(gray)
+        assert np.array_equal(describe_patch(frame, (20, 16)), describe_patch(gray, (20, 16)))
 
 
 class TestDescribePatch:

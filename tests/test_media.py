@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from trailblaze import media
 from trailblaze.media import (
@@ -41,6 +42,80 @@ class TestToGrayscale:
     def test_gray_passthrough(self):
         f = Frame.from_array(np.full((3, 4), 9, dtype=np.uint8))
         assert to_grayscale(f) is f
+
+
+class TestGray:
+    def test_rgb_frame_goes_through_to_grayscale(self):
+        f = rgb_frame(255, 0, 0)
+        got = media._gray(f)
+        assert got.dtype == np.float64 and got.shape == (2, 2)
+        assert np.array_equal(got, to_grayscale(f).data)
+
+    def test_array_cast_keeps_units(self):
+        arr = np.array([[0, 200], [255, 17]], dtype=np.uint8)
+        assert np.array_equal(media._gray(arr), arr.astype(np.float64))
+
+    def test_other_shape_rejected_with_shape(self):
+        with pytest.raises(ValueError, match=r"\(4, 5, 3\)"):
+            media._gray(np.zeros((4, 5, 3)))
+
+
+class TestBilinear:
+    @pytest.mark.parametrize("shape", [(6, 7), (1, 5), (5, 1), (1, 1)])
+    def test_matches_map_coordinates(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        img = rng.uniform(0, 255, shape)
+        h, w = shape
+        # inside and up to two pixels outside on every side
+        xs = rng.uniform(-2.0, w + 1.0, 200)
+        ys = rng.uniform(-2.0, h + 1.0, 200)
+        want = ndimage.map_coordinates(img, [ys, xs], order=1, mode="nearest")
+        assert np.abs(media._bilinear(img, xs, ys) - want).max() <= 1e-12
+
+    def test_integer_points_exact(self):
+        img = np.arange(12.0).reshape(3, 4)
+        ys, xs = np.mgrid[0:3, 0:4]
+        assert np.array_equal(media._bilinear(img, xs.astype(float), ys.astype(float)), img)
+
+
+class TestArrays:
+    def test_round_trip_at_exact_path(self, tmp_path):
+        p = tmp_path / "a.bin"
+        w = np.random.default_rng(0).normal(size=(3, 4))
+        media.save_arrays(p, w=w, names=np.array(["x", "y z"]))
+        assert [q.name for q in tmp_path.iterdir()] == ["a.bin"]
+        back = media.load_arrays(p, ("w", "names"))
+        assert np.array_equal(back["w"], w)
+        assert back["names"].tolist() == ["x", "y z"]
+
+    def test_missing_array_names_path(self, tmp_path):
+        p = tmp_path / "a.npz"
+        media.save_arrays(p, w=np.zeros(2))
+        with pytest.raises(ValueError, match=r"a\.npz.*'v'"):
+            media.load_arrays(p, ("w", "v"))
+
+    @pytest.mark.parametrize("content", [b"", b"1 2 3\n", b"PK\x03\x04 truncated"])
+    def test_unreadable_file_names_path(self, tmp_path, content):
+        p = tmp_path / "a.npz"
+        p.write_bytes(content)
+        with pytest.raises(ValueError, match=r"a\.npz"):
+            media.load_arrays(p, ("w",))
+
+    def test_single_array_file_rejected(self, tmp_path):
+        p = tmp_path / "a.npy"
+        np.save(p, np.zeros(3))
+        with pytest.raises(ValueError, match=r"a\.npy"):
+            media.load_arrays(p, ("w",))
+
+    def test_pickled_array_rejected(self, tmp_path):
+        p = tmp_path / "a.npz"
+        media.save_arrays(p, w=np.array([{"a": 1}], dtype=object))
+        with pytest.raises(ValueError, match=r"a\.npz"):
+            media.load_arrays(p, ("w",))
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            media.load_arrays(tmp_path / "none.npz", ("w",))
 
 
 class TestClipIO:

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trailblaze.media import save_arrays
 from trailblaze.shape import (
-    ShapeDescriptor, derivative, describe, descriptor_dim, read_descriptors,
-    write_descriptors,
+    ShapeDescriptor, describe, descriptor_dim, read_descriptors, write_descriptors,
 )
 
 
@@ -27,12 +27,14 @@ def iterated_oracle(pts, r):
 
 
 class TestDerivative:
+    """Order 1 of `describe` is the flattened forward difference."""
+
     def test_constant_sequence_zero(self):
-        assert np.all(derivative([[2.0, 3.0]] * 5) == 0.0)
+        assert np.all(describe([[2.0, 3.0]] * 5, r=1).values == 0.0)
 
     def test_linear_sequence_constant(self):
         pts = [[i * 1.5, -i * 0.5] for i in range(6)]
-        d = derivative(pts)
+        d = describe(pts, r=1).values.reshape(-1, 2)
         assert np.allclose(d, [[1.5, -0.5]] * 5)
 
     def test_matches_oracle_exactly(self):
@@ -41,11 +43,12 @@ class TestDerivative:
             n = int(rng.integers(1, 4))
             length = int(rng.integers(2, 12))
             pts = rng.normal(0, 10, (length, n))
-            assert np.array_equal(derivative(pts), forward_difference_oracle(pts))
+            assert np.array_equal(describe(pts, r=1).values,
+                                  forward_difference_oracle(pts).ravel())
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            derivative([[1.0, 2.0]])
+            describe([[1.0, 2.0]], r=1)
 
 
 class TestDescribe:
@@ -107,14 +110,9 @@ class TestDescribe:
         pts = rng.normal(0, 5, (9, 2))
         cur = pts
         for j in range(1, 8):
-            cur = derivative(cur)
+            cur = forward_difference_oracle(cur)
             d = describe(pts, r=j)
             assert np.array_equal(d.values[-cur.size:], cur.ravel())
-
-    def test_normalize_flag(self):
-        pts = np.array([[0.0, 0.0], [2.0, 0.0], [6.0, 2.0]])
-        d = describe(pts, r=1, normalize=True)
-        assert abs(np.abs(d.values).sum() - 1.0) < 1e-12
 
 
 class TestDescriptorFile:
@@ -131,4 +129,32 @@ class TestDescriptorFile:
         for (cid, lab, d), (cid2, lab2, d2) in zip(rows, back):
             assert (cid, lab) == (cid2, lab2)
             assert (d.n, d.l, d.r) == (d2.n, d2.l, d2.r)
-            assert np.allclose(d.values, d2.values, atol=1e-6)
+            assert np.array_equal(d.values, d2.values)
+
+    def test_empty_round_trip(self, tmp_path):
+        p = tmp_path / "d.npz"
+        write_descriptors(p, [])
+        assert read_descriptors(p) == []
+
+    def test_mixed_shapes_round_trip(self, tmp_path):
+        rng = np.random.default_rng(4)
+        rows = [("a b", "wave", describe(rng.normal(0, 3, (9, 3)), r=2)),
+                ("c", "walk", describe(rng.normal(0, 3, (5, 2)), r=1))]
+        p = tmp_path / "d.npz"
+        write_descriptors(p, rows)
+        back = read_descriptors(p)
+        assert [(c, lab, d.n, d.l, d.r) for c, lab, d in back] == [("a b", "wave", 3, 8, 2),
+                                                                  ("c", "walk", 2, 4, 1)]
+        for (_, _, d), (_, _, d2) in zip(rows, back):
+            assert np.array_equal(d.values, d2.values)
+
+    @pytest.mark.parametrize("shapes, n_values", [
+        ([[2, 4, 1]], 7),            # one value short
+        ([[2, 4, 1], [2, 4, 1]], 8),  # two (n, l, r) rows for one clip id
+    ])
+    def test_inconsistent_file_names_path(self, tmp_path, shapes, n_values):
+        p = tmp_path / "d.npz"
+        save_arrays(p, clip_ids=np.array(["c"]), labels=np.array(["walk"]),
+                    shapes=np.array(shapes), values=np.zeros(n_values))
+        with pytest.raises(ValueError, match="d.npz"):
+            read_descriptors(p)
