@@ -72,7 +72,8 @@ def _log_responsibilities(X, weights, means, variances):
 def fit_gmm(descriptors, k: int, seed: int = 0, max_iters: int = 100) -> FisherCodebook:
     """EM fit of a K-component diagonal GMM, k-means++ initialized.
 
-    The log-likelihood is checked to be non-decreasing at every iteration.
+    The log-likelihood is checked to be non-decreasing at every iteration;
+    a drop raises a `RuntimeError` naming the iteration and both values.
     """
     X = np.asarray(descriptors, dtype=np.float64)
     if X.ndim != 2:
@@ -91,11 +92,12 @@ def fit_gmm(descriptors, k: int, seed: int = 0, max_iters: int = 100) -> FisherC
     weights = np.full(k, 1.0 / k)
 
     prev_ll = -np.inf
-    for _ in range(max_iters):
+    for it in range(max_iters):
         log_gamma, point_ll = _log_responsibilities(X, weights, means, variances)
         ll = float(point_ll.sum())
         if ll + 1e-8 * max(1.0, abs(ll)) < prev_ll:
-            raise AssertionError("EM log-likelihood decreased")
+            raise RuntimeError(f"EM log-likelihood decreased at iteration {it}: "
+                               f"{prev_ll!r} -> {ll!r}")
         if ll - prev_ll < EM_TOL * len(X):
             break
         prev_ll = ll

@@ -3,6 +3,8 @@
 Both take frames or 2-D arrays in 0-255 units and divide every frame by 255,
 so all frames of a clip share one scale.  Borders replicate the edge; the
 pyramid has 3 half-resolution levels (5x5 binomial antialiasing).
+Lucas-Kanade solves all points together, per pyramid level and per
+iteration, each point with its own convergence test.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ LK_MIN_EIG_FACTOR = 1e-4  # threshold = factor * window**2
 @dataclass(frozen=True)
 class TrackResult:
     point: tuple
-    status: str  # "tracked" | "lost"
+    status: str                # "tracked" | "lost"
+    reason: str | None = None  # None when tracked, else "outside" | "weak_gradient"
 
 
 @dataclass(frozen=True)
@@ -75,12 +78,27 @@ def _gradients(img: np.ndarray) -> tuple:
     return gx, gy
 
 
-def lk_track(prev, next, points, levels: int = 3, window: int = 15) -> list:
-    """Track `points` from prev to next with iterative coarse-to-fine LK.
+def _as_points(points) -> np.ndarray:
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.shape == (0,):
+        return pts.reshape(0, 2)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise ValueError(f"point {bad[0]} is not finite: {tuple(pts[bad[0]].tolist())}")
+    return pts
 
-    A point is lost when the finest-level gradient matrix is too weak
-    (smaller eigenvalue below 1e-4 * window^2) or when the tracking window
-    leaves the frame.
+
+def lk_track(prev, next, points, levels: int = 3, window: int = 15) -> list:
+    """Track `points` (n, 2) from prev to next with iterative coarse-to-fine LK.
+
+    All points are solved together, level by level and iteration by
+    iteration; each point stops iterating on its own convergence test.
+    Results come in input order.  A point is lost with reason "outside" when
+    its window leaves the frame at the start or at the end, and with reason
+    "weak_gradient", at its start, when its finest-level gradient matrix is
+    too weak (smaller eigenvalue below 1e-4 * window^2).
     """
     img0 = _gray(prev) / 255.0
     img1 = _gray(next) / 255.0
@@ -90,6 +108,9 @@ def lk_track(prev, next, points, levels: int = 3, window: int = 15) -> list:
         raise ValueError("levels must be >= 1")
     if window < 5 or window % 2 == 0:
         raise ValueError("window must be odd and >= 5")
+    pts = _as_points(points)
+    if len(pts) == 0:
+        return []
 
     pyr0 = _pyramid(img0, levels, window + 2)
     pyr1 = _pyramid(img1, levels, window + 2)
@@ -100,57 +121,62 @@ def lk_track(prev, next, points, levels: int = 3, window: int = 15) -> list:
     h, w = img0.shape
     min_eig_thresh = LK_MIN_EIG_FACTOR * window * window
 
-    results = []
-    for p in points:
-        px, py = float(p[0]), float(p[1])
-        if not (half + 1 <= px <= w - 2 - half and half + 1 <= py <= h - 2 - half):
-            results.append(TrackResult((px, py), "lost"))
-            continue
-        g = np.zeros(2)
-        lost = False
-        for lvl in range(len(pyr0) - 1, -1, -1):
-            scale = 2.0 ** lvl
-            plx, ply = px / scale, py / scale
-            gx, gy = grads[lvl]
-            sx = plx + ox
-            sy = ply + oy
-            Ix = _bilinear(gx, sx, sy)
-            Iy = _bilinear(gy, sx, sy)
-            G = np.array([[np.sum(Ix * Ix), np.sum(Ix * Iy)],
-                          [np.sum(Ix * Iy), np.sum(Iy * Iy)]])
-            if lvl == 0:
-                eig_min = np.linalg.eigvalsh(G)[0]
-                if eig_min < min_eig_thresh:
-                    lost = True
-                    break
-            det = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
-            if det <= 1e-12:
-                if lvl == 0:
-                    lost = True
-                    break
-                g = 2.0 * g
-                continue
-            Ginv = np.array([[G[1, 1], -G[0, 1]], [-G[1, 0], G[0, 0]]]) / det
-            I0 = _bilinear(pyr0[lvl], sx, sy)
-            nu = np.zeros(2)
-            for _ in range(LK_MAX_ITERS):
-                I1 = _bilinear(pyr1[lvl], sx + g[0] + nu[0], sy + g[1] + nu[1])
-                dI = I0 - I1
-                b = np.array([np.sum(dI * Ix), np.sum(dI * Iy)])
-                step = Ginv @ b
-                nu += step
-                if np.hypot(step[0], step[1]) < LK_EPS:
-                    break
-            g = (g + nu) if lvl == 0 else 2.0 * (g + nu)
-        if lost:
-            results.append(TrackResult((px, py), "lost"))
-            continue
-        qx, qy = px + g[0], py + g[1]
-        if not (half + 1 <= qx <= w - 2 - half and half + 1 <= qy <= h - 2 - half):
-            results.append(TrackResult((qx, qy), "lost"))
+    def inside(p):
+        return ((half + 1 <= p[:, 0]) & (p[:, 0] <= w - 2 - half)
+                & (half + 1 <= p[:, 1]) & (p[:, 1] <= h - 2 - half))
+
+    started = inside(pts)
+    weak = np.zeros(len(pts), dtype=bool)
+    g = np.zeros_like(pts)
+    live = np.flatnonzero(started)
+    for lvl in range(len(pyr0) - 1, -1, -1):
+        scale = 2.0 ** lvl
+        sx = (pts[live, 0] / scale)[:, None, None] + ox
+        sy = (pts[live, 1] / scale)[:, None, None] + oy
+        gx, gy = grads[lvl]
+        Ix = _bilinear(gx, sx, sy)
+        Iy = _bilinear(gy, sx, sy)
+        gxx = (Ix * Ix).sum(axis=(1, 2))
+        gxy = (Ix * Iy).sum(axis=(1, 2))
+        gyy = (Iy * Iy).sum(axis=(1, 2))
+        det = gxx * gyy - gxy * gxy
+        fail = det <= 1e-12
+        if lvl == 0:
+            # closed-form smaller eigenvalue of the symmetric 2x2 G
+            eig_min = 0.5 * (gxx + gyy) - np.hypot(0.5 * (gxx - gyy), gxy)
+            fail |= eig_min < min_eig_thresh
+            weak[live[fail]] = True
         else:
-            results.append(TrackResult((qx, qy), "tracked"))
-    return results
+            g[live[fail]] *= 2.0  # singular coarse level: skip it
+        ok = ~fail
+        solve = live[ok]
+        sx, sy, Ix, Iy = sx[ok], sy[ok], Ix[ok], Iy[ok]
+        i00, i01, i11 = gyy[ok] / det[ok], -gxy[ok] / det[ok], gxx[ok] / det[ok]
+        I0 = _bilinear(pyr0[lvl], sx, sy)
+        gl = g[solve]
+        nu = np.zeros_like(gl)
+        act = np.arange(len(solve))  # points still iterating at this level
+        for _ in range(LK_MAX_ITERS):
+            if act.size == 0:
+                break
+            I1 = _bilinear(pyr1[lvl], sx[act] + gl[act, 0, None, None] + nu[act, 0, None, None],
+                           sy[act] + gl[act, 1, None, None] + nu[act, 1, None, None])
+            dI = I0[act] - I1
+            b0 = (dI * Ix[act]).sum(axis=(1, 2))
+            b1 = (dI * Iy[act]).sum(axis=(1, 2))
+            s0 = i00[act] * b0 + i01[act] * b1
+            s1 = i01[act] * b0 + i11[act] * b1
+            nu[act, 0] += s0
+            nu[act, 1] += s1
+            act = act[~(np.hypot(s0, s1) < LK_EPS)]  # a NaN step keeps iterating
+        g[solve] = (gl + nu) if lvl == 0 else 2.0 * (gl + nu)
+
+    moved = np.where(weak[:, None], pts, pts + g)
+    tracked = started & ~weak & inside(moved)
+    reasons = [None if t else ("weak_gradient" if k else "outside")
+               for t, k in zip(tracked.tolist(), weak.tolist())]
+    return [TrackResult((x, y), "lost" if r else "tracked", r)
+            for (x, y), r in zip(moved.tolist(), reasons)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """FAST corners, gradient-orientation patch descriptors, reciprocal matching.
 
 Images are Frames (color ones converted to grayscale) or 2-D arrays in 0-255
-units.
+units.  The descriptor histogram is one ``bincount`` over the patch, and the
+matcher runs its ratio test on whole rows and columns at once.
 """
 
 from __future__ import annotations
@@ -75,6 +76,8 @@ def describe_patch(gray, p, patch: int = 16) -> np.ndarray:
     histograms over a 4x4 cell grid, L2-normalized, entries clamped at 0.2
     and renormalized.  A gradient-free patch yields the zero vector.
     """
+    if patch < 4 or patch % 4:
+        raise ValueError(f"patch must be a positive multiple of 4, got {patch}")
     img = _gray(gray)
     h, w = img.shape
     half = patch // 2
@@ -90,20 +93,14 @@ def describe_patch(gray, p, patch: int = 16) -> np.ndarray:
     ang = np.arctan2(gy, gx) % (2.0 * np.pi)
     bins = np.minimum((ang / (np.pi / 4.0)).astype(int), 7)
 
-    cell = patch // 4
-    desc = np.zeros((4, 4, 8))
-    cy = np.arange(patch) // cell
-    cx = np.arange(patch) // cell
-    for i in range(patch):
-        for j in range(patch):
-            desc[cy[i], cx[j], bins[i, j]] += mag[i, j]
-    v = desc.ravel()
-    norm = np.linalg.norm(v)
+    cell = np.arange(patch) // (patch // 4)
+    index = (cell[:, None] * 4 + cell[None, :]) * 8 + bins
+    v = np.bincount(index.ravel(), weights=mag.ravel(), minlength=DESCRIPTOR_DIM)
+    norm = np.sqrt(v.dot(v))  # what np.linalg.norm computes, without its overhead
     if norm == 0.0:
         return v
-    v = v / norm
-    v = np.minimum(v, 0.2)
-    return v / np.linalg.norm(v)
+    v = np.minimum(v / norm, 0.2)
+    return v / np.sqrt(v.dot(v))
 
 
 def match_reciprocal(a, b, ratio: float = 0.8) -> list:
@@ -115,26 +112,20 @@ def match_reciprocal(a, b, ratio: float = 0.8) -> list:
     B = np.atleast_2d(np.asarray(b, dtype=np.float64)) if len(b) else np.zeros((0, 1))
     if A.shape[0] == 0 or B.shape[0] == 0:
         return []
+    if A.shape[1] != B.shape[1]:
+        raise ValueError(f"descriptor widths differ: a is {A.shape}, b is {B.shape}")
     d2 = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
     d = np.sqrt(np.maximum(d2, 0.0))
 
-    nn_ab = np.argmin(d, axis=1)
+    rows = np.arange(A.shape[0])
+    nn_ab = np.argmin(d, axis=1)  # first index on ties
     nn_ba = np.argmin(d, axis=0)
-
-    def passes_ratio(dists, best_idx):
-        if dists.size < 2:
-            return True
-        rest = np.delete(dists, best_idx)
-        return dists[best_idx] < ratio * rest.min()
-
-    pairs = []
-    for i in range(A.shape[0]):
-        j = int(nn_ab[i])
-        if int(nn_ba[j]) != i:
-            continue
-        if not passes_ratio(d[i, :], j):
-            continue
-        if not passes_ratio(d[:, j], i):
-            continue
-        pairs.append((i, j))
-    return pairs
+    best = d[rows, nn_ab]
+    keep = nn_ba[nn_ab] == rows
+    # ratio test: the best distance against the second smallest of its row
+    # and of its column; a singleton row or column skips it
+    if B.shape[0] > 1:
+        keep &= best < ratio * np.partition(d, 1, axis=1)[:, 1]
+    if A.shape[0] > 1:
+        keep &= best < ratio * np.partition(d, 1, axis=0)[1, nn_ab]
+    return list(zip(rows[keep].tolist(), nn_ab[keep].tolist()))

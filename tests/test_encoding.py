@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trailblaze import encoding
 from trailblaze.encoding import (
     FisherCodebook, _fv_blocks, _log_responsibilities, fisher_vector, fit_gmm,
     gmm_log_likelihood, read_codebook, write_codebook,
@@ -48,6 +49,21 @@ class TestFitGmm:
         X = np.vstack([rng.normal(0, 1, (100, 2)), rng.normal(4, 0.5, (100, 2))])
         cb = fit_gmm(X, k=3, seed=4)  # would raise internally on any decrease
         assert cb.k == 3
+
+    def test_likelihood_drop_raises_runtime_error(self, monkeypatch):
+        # each call lowers every point's log-likelihood by 1000 more than the last
+        calls = []
+
+        def decreasing(*args):
+            log_gamma, norm = _log_responsibilities(*args)
+            calls.append(None)
+            return log_gamma, norm - 1000.0 * len(calls)
+
+        monkeypatch.setattr(encoding, "_log_responsibilities", decreasing)
+        rng = np.random.default_rng(5)
+        X = rng.normal(0, 1, (40, 2))
+        with pytest.raises(RuntimeError, match=r"iteration 1: -\d.* -> -\d"):
+            fit_gmm(X, k=2, seed=0)
 
     def test_seed_reproducible(self):
         rng = np.random.default_rng(4)

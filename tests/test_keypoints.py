@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trailblaze.keypoints import CIRCLE, describe_patch, detect_fast, match_reciprocal
-from trailblaze.media import Frame, to_grayscale
+from trailblaze.media import Frame, _gray, to_grayscale
 
 
 def segment_test_oracle(img, x, y, threshold, arc=9):
@@ -77,7 +77,64 @@ class TestDetectFast:
         assert np.array_equal(describe_patch(frame, (20, 16)), describe_patch(gray, (20, 16)))
 
 
+def describe_patch_oracle(gray, p, patch: int = 16) -> np.ndarray:
+    """The loop-built histogram describe_patch had before it used bincount."""
+    img = _gray(gray)
+    h, w = img.shape
+    half = patch // 2
+    x0 = int(round(p[0])) - half
+    y0 = int(round(p[1])) - half
+    if x0 - 1 < 0 or y0 - 1 < 0 or x0 + patch + 1 > w or y0 + patch + 1 > h:
+        raise ValueError(f"descriptor window at {p} outside frame")
+
+    win = img[y0 - 1:y0 + patch + 1, x0 - 1:x0 + patch + 1]
+    gx = (win[1:-1, 2:] - win[1:-1, :-2]) / 2.0
+    gy = (win[2:, 1:-1] - win[:-2, 1:-1]) / 2.0
+    mag = np.hypot(gx, gy)
+    ang = np.arctan2(gy, gx) % (2.0 * np.pi)
+    bins = np.minimum((ang / (np.pi / 4.0)).astype(int), 7)
+
+    cell = patch // 4
+    desc = np.zeros((4, 4, 8))
+    cy = np.arange(patch) // cell
+    cx = np.arange(patch) // cell
+    for i in range(patch):
+        for j in range(patch):
+            desc[cy[i], cx[j], bins[i, j]] += mag[i, j]
+    v = desc.ravel()
+    norm = np.linalg.norm(v)
+    if norm == 0.0:
+        return v
+    v = v / norm
+    v = np.minimum(v, 0.2)
+    return v / np.linalg.norm(v)
+
+
 class TestDescribePatch:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([4, 8, 12, 16, 20]),
+           st.sampled_from(["noise", "flat", "ramp", "half-flat"]))
+    def test_matches_loop_oracle(self, seed, patch, texture):
+        rng = np.random.default_rng(seed)
+        img = {"noise": lambda: rng.uniform(0, 255, (30, 34)),
+               "flat": lambda: np.full((30, 34), rng.uniform(0, 255)),
+               "ramp": lambda: np.add.outer(np.arange(30.0), rng.uniform(-3, 3) * np.arange(34.0)),
+               "half-flat": lambda: np.where(np.arange(34) < 17, 90.0, rng.uniform(0, 255, (30, 34))),
+               }[texture]()
+        half = patch // 2
+        p = (rng.uniform(half + 1, 34 - half - 1.5), rng.uniform(half + 1, 30 - half - 1.5))
+        got = describe_patch(img, p, patch=patch)
+        want = describe_patch_oracle(img, p, patch=patch)
+        assert got.shape == want.shape == (128,)
+        assert np.abs(got - want).max() <= 1e-12
+        if texture == "flat":
+            assert np.all(got == 0.0)
+
+    @pytest.mark.parametrize("patch", [0, 2, 6, 18])
+    def test_patch_not_multiple_of_4_rejected(self, patch):
+        with pytest.raises(ValueError, match=f"got {patch}"):
+            describe_patch(np.zeros((40, 40)), (20, 20), patch=patch)
+
     def test_uniform_patch_zero_vector(self):
         img = np.full((32, 32), 90.0)
         v = describe_patch(img, (16, 16))
@@ -133,7 +190,61 @@ def brute_force_pairs(a, b, ratio):
     return out
 
 
+def match_reciprocal_oracle(a, b, ratio: float = 0.8) -> list:
+    """The per-row matcher match_reciprocal was before its ratio test ran on
+    whole rows and columns."""
+    if not 0.0 < ratio <= 1.0:
+        raise ValueError("ratio must be in (0, 1]")
+    A = np.atleast_2d(np.asarray(a, dtype=np.float64)) if len(a) else np.zeros((0, 1))
+    B = np.atleast_2d(np.asarray(b, dtype=np.float64)) if len(b) else np.zeros((0, 1))
+    if A.shape[0] == 0 or B.shape[0] == 0:
+        return []
+    d2 = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+    d = np.sqrt(np.maximum(d2, 0.0))
+
+    nn_ab = np.argmin(d, axis=1)
+    nn_ba = np.argmin(d, axis=0)
+
+    def passes_ratio(dists, best_idx):
+        if dists.size < 2:
+            return True
+        rest = np.delete(dists, best_idx)
+        return dists[best_idx] < ratio * rest.min()
+
+    pairs = []
+    for i in range(A.shape[0]):
+        j = int(nn_ab[i])
+        if int(nn_ba[j]) != i:
+            continue
+        if not passes_ratio(d[i, :], j):
+            continue
+        if not passes_ratio(d[:, j], i):
+            continue
+        pairs.append((i, j))
+    return pairs
+
+
 class TestMatchReciprocal:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.integers(1, 40),
+           st.integers(1, 6), st.sampled_from([0.5, 0.8, 1.0]), st.booleans())
+    def test_matches_per_row_oracle(self, seed, na, nb, dim, ratio, coarse):
+        # coarse integer descriptors tie often; copied rows and columns tie exactly
+        rng = np.random.default_rng(seed)
+        draw = (lambda n: rng.integers(0, 3, (n, dim)).astype(float)) if coarse else (
+            lambda n: rng.uniform(0, 1, (n, dim)))
+        a, b = draw(na), draw(nb)
+        a[rng.integers(na, size=na // 3)] = a[rng.integers(na, size=na // 3)]
+        b[rng.integers(nb, size=nb // 3)] = b[rng.integers(nb, size=nb // 3)]
+        b[: min(na, nb) // 4] = a[: min(na, nb) // 4]
+        got = match_reciprocal(a, b, ratio)
+        assert got == match_reciprocal_oracle(a, b, ratio)
+        assert all(type(i) is int and type(j) is int for i, j in got)
+
+    def test_width_mismatch_names_both_shapes(self):
+        with pytest.raises(ValueError, match=r"\(3, 4\).*\(2, 5\)"):
+            match_reciprocal(np.ones((3, 4)), np.ones((2, 5)))
+
     def test_identity_pairing(self):
         rng = np.random.default_rng(9)
         a = rng.uniform(0, 1, (5, 8))
