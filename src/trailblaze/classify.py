@@ -1,15 +1,13 @@
 """One-vs-rest linear SVMs trained by averaged stochastic subgradient descent,
 plus the leave-one-actor-out evaluation harness with blended confusion matrices.
 
-Model files are ``media.save_arrays`` archives; confusion matrices, which
-people read and edit, are CSV text.
+Model files are ``media.save_arrays`` archives.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -77,6 +75,10 @@ def train(examples, C: float = 1.0, epochs: int = 50, seed: int = 0) -> SvmModel
     the average over all iterates, which makes training deterministic and
     stable given the seed.
     """
+    if not C > 0:
+        raise ValueError(f"C must be > 0, got {C}")
+    if epochs < 1:
+        raise ValueError(f"epochs must be >= 1, got {epochs}")
     examples = list(examples)
     labels = tuple(sorted({e.label for e in examples}))
     if len(labels) < 2:
@@ -117,6 +119,9 @@ def predict(model: SvmModel, fv) -> str:
     if x.shape != (model.weights.shape[1],):
         raise ValueError(f"feature dimension {x.shape} does not match model "
                          f"{model.weights.shape[1]}")
+    if not np.isfinite(x).all():
+        bad = np.flatnonzero(~np.isfinite(x))[0]
+        raise ValueError(f"feature {bad} is not finite: {x[bad]}")
     scores = model.weights @ x + model.biases
     return model.labels[int(np.argmax(scores))]
 
@@ -184,17 +189,3 @@ def read_model(path) -> SvmModel:
                         labels=tuple(arrays["labels"].tolist()))
     except ValueError as exc:
         raise ValueError(f"model file {path}: {exc}") from None
-
-
-def write_confusion_csv(path, cm: ConfusionMatrix) -> None:
-    lines = ["," + ",".join(cm.labels)]
-    for lab, row in zip(cm.labels, cm.counts):
-        lines.append(lab + "," + ",".join(str(int(x)) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_confusion_csv(path) -> ConfusionMatrix:
-    lines = [l for l in Path(path).read_text().splitlines() if l.strip()]
-    labels = tuple(lines[0].split(",")[1:])
-    counts = np.array([[int(x) for x in line.split(",")[1:]] for line in lines[1:]])
-    return ConfusionMatrix(counts=counts, labels=labels)

@@ -1,8 +1,9 @@
 """Sparse pyramidal Lucas-Kanade tracking and dense Farneback-style flow.
 
 Both take frames or 2-D arrays in 0-255 units and divide every frame by 255,
-so all frames of a clip share one scale.  Borders replicate the edge; the
-pyramid has 3 half-resolution levels (5x5 binomial antialiasing).
+so all frames of a clip share one scale.  Borders replicate the edge; a
+pyramid of n levels is the full image plus up to n - 1 halvings (5x5 binomial
+antialiasing).
 Lucas-Kanade solves all points together, per pyramid level and per
 iteration, each point with its own convergence test.
 """
@@ -21,6 +22,12 @@ BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 LK_MAX_ITERS = 20
 LK_EPS = 0.01
 LK_MIN_EIG_FACTOR = 1e-4  # threshold = factor * window**2
+
+FB_LEVELS = 3
+FB_WINDOW = 15            # side of the box that averages the flow equations
+FB_ITERATIONS = 3         # refinements per pyramid level
+FB_POLY_N = 7             # side of the polynomial-expansion neighbourhood
+FB_POLY_SIGMA = 1.5       # its Gaussian applicability
 
 
 @dataclass(frozen=True)
@@ -244,24 +251,20 @@ def _solve_flow(A11, A12, A22, b1, b2, window: int):
     return u, v
 
 
-def farneback_flow(prev, next, levels: int = 3, window: int = 15,
-                   iterations: int = 3, poly_n: int = 7,
-                   poly_sigma: float = 1.5) -> FlowField:
+def farneback_flow(prev, next) -> FlowField:
     """Dense displacement field from prev to next.
 
     Polynomial expansion of both frames per pyramid level; the displacement
     solves the window-averaged expansion-difference equations and is refined
-    `iterations` times per level, coarse to fine.
+    FB_ITERATIONS times per level, coarse to fine.
     """
     img0 = _gray(prev) / 255.0
     img1 = _gray(next) / 255.0
     if img0.shape != img1.shape:
         raise ValueError("frames must share dimensions")
-    if levels < 1 or iterations < 1:
-        raise ValueError("levels and iterations must be >= 1")
 
-    pyr0 = _pyramid(img0, levels, poly_n + 2)
-    pyr1 = _pyramid(img1, levels, poly_n + 2)
+    pyr0 = _pyramid(img0, FB_LEVELS, FB_POLY_N + 2)
+    pyr1 = _pyramid(img1, FB_LEVELS, FB_POLY_N + 2)
     u = np.zeros_like(pyr0[-1])
     v = np.zeros_like(pyr0[-1])
 
@@ -271,10 +274,10 @@ def farneback_flow(prev, next, levels: int = 3, window: int = 15,
         if u.shape != p0.shape:
             u = np.repeat(np.repeat(u, 2, axis=0), 2, axis=1)[:h, :w] * 2.0
             v = np.repeat(np.repeat(v, 2, axis=0), 2, axis=1)[:h, :w] * 2.0
-        A11a, A12a, A22a, b1a, b2a = _poly_expand(p0, poly_n, poly_sigma)
-        A11b, A12b, A22b, b1b, b2b = _poly_expand(p1, poly_n, poly_sigma)
+        A11a, A12a, A22a, b1a, b2a = _poly_expand(p0, FB_POLY_N, FB_POLY_SIGMA)
+        A11b, A12b, A22b, b1b, b2b = _poly_expand(p1, FB_POLY_N, FB_POLY_SIGMA)
         yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
-        for _ in range(iterations):
+        for _ in range(FB_ITERATIONS):
             sx = xx + u
             sy = yy + v
             wA11 = _bilinear(A11b, sx, sy)
@@ -287,7 +290,7 @@ def farneback_flow(prev, next, levels: int = 3, window: int = 15,
             A22 = 0.5 * (A22a + wA22)
             db1 = -0.5 * (wb1 - b1a) + A11 * u + A12 * v
             db2 = -0.5 * (wb2 - b2a) + A12 * u + A22 * v
-            u, v = _solve_flow(A11, A12, A22, db1, db2, window)
+            u, v = _solve_flow(A11, A12, A22, db1, db2, FB_WINDOW)
     return FlowField(u=u, v=v)
 
 

@@ -19,6 +19,7 @@ CIRCLE = [(0, -3), (1, -3), (2, -2), (3, -1), (3, 0), (3, 1), (2, 2), (1, 3),
           (0, 3), (-1, 3), (-2, 2), (-3, 1), (-3, 0), (-3, -1), (-2, -2), (-1, -3)]
 
 DESCRIPTOR_DIM = 128  # 4x4 cells x 8 orientation bins
+FAST_ARC = 9          # contiguous circle pixels that make a corner
 
 
 @dataclass(frozen=True)
@@ -28,8 +29,8 @@ class Corner:
     score: float
 
 
-def detect_fast(gray, threshold: float = 20.0, arc: int = 9) -> list:
-    """Segment-test corners: >= `arc` contiguous circle pixels all brighter
+def detect_fast(gray, threshold: float = 20.0) -> list:
+    """Segment-test corners: >= FAST_ARC contiguous circle pixels all brighter
     than center+threshold or all darker than center-threshold, followed by
     3x3 non-maximum suppression on the exceedance-sum score."""
     img = _gray(gray)
@@ -52,7 +53,7 @@ def detect_fast(gray, threshold: float = 20.0, arc: int = 9) -> list:
         for k in range(2 * len(CIRCLE)):
             run = np.where(doubled[k], run + 1, 0)
             best = np.maximum(best, run)
-        return np.minimum(best, len(CIRCLE)) >= arc
+        return np.minimum(best, len(CIRCLE)) >= FAST_ARC
 
     is_corner = has_arc(brighter) | has_arc(darker)
     if not is_corner.any():

@@ -47,6 +47,8 @@ class Frame:
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Frame":
         arr = np.asarray(arr)
+        if arr.ndim not in (2, 3):
+            raise ValueError(f"expected an (h, w) or (h, w, C) array, got shape {arr.shape}")
         if arr.dtype != np.uint8:
             arr = np.clip(np.round(arr), 0, 255).astype(np.uint8)
         channels = 1 if arr.ndim == 2 else arr.shape[2]
@@ -58,9 +60,7 @@ class Clip:
     """An ordered frame sequence from one camera."""
 
     frames: tuple
-    frame_rate: float = 30.0
     clip_id: str = "clip"
-    camera: str = "left"
 
     def __post_init__(self):
         if len(self.frames) < 2:
@@ -69,8 +69,6 @@ class Clip:
         for f in self.frames[1:]:
             if (f.width, f.height, f.channels) != (first.width, first.height, first.channels):
                 raise ValueError("clip frames must share dimensions and channel count")
-        if self.camera not in ("left", "right"):
-            raise ValueError(f"camera must be left or right, got {self.camera!r}")
 
     def __len__(self):
         return len(self.frames)
@@ -198,8 +196,7 @@ def _write_pnm(path: Path, arr: np.ndarray) -> None:
     path.write_bytes(header + np.ascontiguousarray(arr, dtype=np.uint8).tobytes())
 
 
-def load_clip(path, frame_rate: float = 30.0, clip_id: str | None = None,
-              camera: str | None = None) -> Clip:
+def load_clip(path, clip_id: str | None = None) -> Clip:
     """Load a clip from a directory of PGM/PPM frames in lexicographic order."""
     path = Path(path)
     if not path.is_dir():
@@ -220,10 +217,7 @@ def load_clip(path, frame_rate: float = 30.0, clip_id: str | None = None,
                 f"inconsistent dimensions in {p.name}: {arr.shape[1]}x{arr.shape[0]} "
                 f"vs {first_shape[1]}x{first_shape[0]}")
         frames.append(Frame.from_array(arr))
-    if camera is None:
-        camera = "right" if path.name.endswith("right") else "left"
-    return Clip(frames=tuple(frames), frame_rate=frame_rate,
-                clip_id=clip_id or path.name, camera=camera)
+    return Clip(frames=tuple(frames), clip_id=clip_id or path.name)
 
 
 def write_clip(clip: Clip, path) -> None:
@@ -242,14 +236,15 @@ def write_clip(clip: Clip, path) -> None:
 class ObjectPath:
     """Parametric sprite path in left-image coordinates plus depth.
 
-    Supported kinds: static, line, vosc, circle, zigzag, spiral.  All kinds
-    accept z0/dz so any of them can drift in depth.
+    Kinds: line (velocity du, dv), vosc (du plus a vertical sine of amp,
+    period and phase) and circle (radius, period, phase).  All kinds accept
+    z0/dz so any of them can drift in depth.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
 
-    _KINDS = ("static", "line", "vosc", "circle", "zigzag", "spiral")
+    _KINDS = ("line", "vosc", "circle")
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
@@ -260,24 +255,14 @@ class ObjectPath:
         p = self.params
         u0, v0 = p.get("u0", 0.0), p.get("v0", 0.0)
         z = p.get("z0", 3.0) + p.get("dz", 0.0) * t
-        if self.kind == "static":
-            return (u0, v0, z)
         if self.kind == "line":
             return (u0 + p.get("du", 0.0) * t, v0 + p.get("dv", 0.0) * t, z)
         if self.kind == "vosc":
             ph = 2.0 * math.pi * t / p.get("period", 20.0) + p.get("phase", 0.0)
             return (u0 + p.get("du", 0.0) * t, v0 + p.get("amp", 5.0) * math.sin(ph), z)
-        if self.kind == "circle":
-            ph = 2.0 * math.pi * t / p.get("period", 24.0) + p.get("phase", 0.0)
-            r = p.get("radius", 6.0)
-            return (u0 + r * math.cos(ph), v0 + r * math.sin(ph), z)
-        if self.kind == "zigzag":
-            s = t / p.get("period", 12.0) + p.get("phase", 0.0)
-            tri = 4.0 * abs(s - math.floor(s + 0.5)) - 1.0
-            return (u0 + p.get("du", 0.0) * t, v0 + p.get("amp", 5.0) * tri, z)
-        # spiral
+        # circle
         ph = 2.0 * math.pi * t / p.get("period", 24.0) + p.get("phase", 0.0)
-        r = p.get("r0", 2.0) + p.get("dr", 0.1) * t
+        r = p.get("radius", 6.0)
         return (u0 + r * math.cos(ph), v0 + r * math.sin(ph), z)
 
 
@@ -296,7 +281,6 @@ class SceneSpec:
     patch: int = 14
     toein: float = 0.0      # right-camera convergence half-angle, degrees
     background: float = 96.0
-    fps: float = 30.0
 
     def __post_init__(self):
         if self.baseline <= 0 or self.focal <= 0:
@@ -463,54 +447,6 @@ def synth_stereo(spec: SceneSpec, clip_id: str = "scene") -> tuple:
 
     gt = GroundTruth(left_uv=left_uv, right_uv=right_uv, disparity=disparity,
                      F=exact_fundamental(spec))
-    left = Clip(tuple(left_frames), spec.fps, clip_id=clip_id, camera="left")
-    right = Clip(tuple(right_frames), spec.fps, clip_id=clip_id, camera="right")
+    left = Clip(tuple(left_frames), clip_id=clip_id)
+    right = Clip(tuple(right_frames), clip_id=clip_id)
     return left, right, gt
-
-
-# ---------------------------------------------------------------------------
-# Scene spec files: key=value lines, repeated object=<kind>:<k=v,...>
-
-_SCALAR_KEYS = {
-    "focal": float, "baseline": float, "width": int, "height": int,
-    "frames": int, "noise_sigma": float, "seed": int, "patch": int,
-    "toein": float, "background": float, "fps": float,
-}
-
-
-def parse_scene_spec(text: str) -> SceneSpec:
-    kwargs = {}
-    objects = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"scene spec line {lineno}: expected key=value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key == "object":
-            kind, _, rest = value.partition(":")
-            params = {}
-            if rest.strip():
-                for item in rest.split(","):
-                    pk, _, pv = item.partition("=")
-                    params[pk.strip()] = float(pv)
-            objects.append(ObjectPath(kind=kind.strip(), params=params))
-        elif key in _SCALAR_KEYS:
-            kwargs[key] = _SCALAR_KEYS[key](value.strip())
-        else:
-            raise ValueError(f"scene spec line {lineno}: unknown key {key!r}")
-    return SceneSpec(objects=tuple(objects), **kwargs)
-
-
-def load_scene_spec(path) -> SceneSpec:
-    return parse_scene_spec(Path(path).read_text())
-
-
-def format_scene_spec(spec: SceneSpec) -> str:
-    lines = [f"{k}={getattr(spec, k)}" for k in _SCALAR_KEYS]
-    for obj in spec.objects:
-        params = ",".join(f"{k}={v}" for k, v in sorted(obj.params.items()))
-        lines.append(f"object={obj.kind}:{params}")
-    return "\n".join(lines) + "\n"

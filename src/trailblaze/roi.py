@@ -1,5 +1,5 @@
-"""Moving-region detection: per-pixel Gaussian mixture background model,
-morphological cleanup and proximity-merged bounding boxes."""
+"""Moving-region detection: per-pixel Gaussian mixture background model and
+proximity-merged bounding boxes."""
 
 from __future__ import annotations
 
@@ -10,6 +10,9 @@ from scipy import ndimage
 
 from .media import _gray
 
+COMPONENTS = 3
+ALPHA = 0.02            # learning rate of matched components
+MATCH_K = 2.5           # a pixel matches a component within MATCH_K sigma
 INIT_VARIANCE = 225.0   # sigma 15 for fresh components
 MIN_VARIANCE = 4.0
 NEW_WEIGHT = 0.05
@@ -18,24 +21,22 @@ BG_RATIO = 0.7          # cumulative weight that counts as background
 
 @dataclass
 class BackgroundModel:
-    """Per-pixel mixture of K Gaussians; arrays have shape (K, h, w)."""
+    """Per-pixel mixture of K = COMPONENTS Gaussians; arrays have shape (K, h, w)."""
 
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
-    alpha: float = 0.02
-    match_k: float = 2.5
 
     @classmethod
-    def initialize(cls, frame, k: int = 3, alpha: float = 0.02, match_k: float = 2.5):
+    def initialize(cls, frame):
         img = _gray(frame)
         h, w = img.shape
-        weights = np.zeros((k, h, w))
+        weights = np.zeros((COMPONENTS, h, w))
         weights[0] = 1.0
-        means = np.zeros((k, h, w))
+        means = np.zeros((COMPONENTS, h, w))
         means[0] = img
-        variances = np.full((k, h, w), INIT_VARIANCE)
-        return cls(weights, means, variances, alpha=alpha, match_k=match_k)
+        variances = np.full((COMPONENTS, h, w), INIT_VARIANCE)
+        return cls(weights, means, variances)
 
     @property
     def shape(self):
@@ -45,9 +46,9 @@ class BackgroundModel:
 def update_and_subtract(model: BackgroundModel, frame) -> tuple:
     """One background-model step; returns (updated model, foreground mask).
 
-    A pixel is background iff it matches (within match_k sigma) one of the
+    A pixel is background iff it matches (within MATCH_K sigma) one of the
     highest-weight components whose cumulative weight reaches BG_RATIO.
-    Matched components adapt with rate alpha; a pixel matching nothing
+    Matched components adapt with rate ALPHA; a pixel matching nothing
     replaces its lowest-weight component and is foreground.
     """
     img = _gray(frame)
@@ -56,10 +57,9 @@ def update_and_subtract(model: BackgroundModel, frame) -> tuple:
     w = model.weights.copy()
     mu = model.means.copy()
     var = model.variances.copy()
-    alpha = model.alpha
 
     diff = img[None] - mu
-    matches = diff ** 2 <= (model.match_k ** 2) * var
+    matches = diff ** 2 <= (MATCH_K ** 2) * var
 
     # among matching components pick the highest-weight one
     cand = np.where(matches, w, -1.0)
@@ -80,11 +80,10 @@ def update_and_subtract(model: BackgroundModel, frame) -> tuple:
     # adapt matched component: w_k <- (1-a)w_k + a*m_k, only where a match exists
     hit = np.zeros_like(matches)
     np.put_along_axis(hit, best[None], any_match[None], axis=0)
-    updated = np.where(hit, w + alpha * (1.0 - w), w * (1.0 - alpha))
+    updated = np.where(hit, w + ALPHA * (1.0 - w), w * (1.0 - ALPHA))
     w = np.where(any_match[None], updated, w)
-    rho = alpha
-    mu = np.where(hit, mu + rho * diff, mu)
-    var = np.where(hit, var + rho * (diff ** 2 - var), var)
+    mu = np.where(hit, mu + ALPHA * diff, mu)
+    var = np.where(hit, var + ALPHA * (diff ** 2 - var), var)
 
     # unmatched pixel: replace its lowest-weight component
     lowest = np.argmin(model.weights, axis=0)
@@ -96,20 +95,7 @@ def update_and_subtract(model: BackgroundModel, frame) -> tuple:
 
     var = np.maximum(var, MIN_VARIANCE)
     w = w / w.sum(axis=0, keepdims=True)
-    return BackgroundModel(w, mu, var, alpha=alpha, match_k=model.match_k), foreground
-
-
-def morph_clean(mask: np.ndarray, radius: int) -> np.ndarray:
-    """Opening (erosion then dilation) with a square element of side 2*radius+1.
-
-    Pixels outside the image are treated as background.
-    """
-    if radius < 1:
-        raise ValueError("radius must be >= 1")
-    mask = np.asarray(mask, dtype=bool)
-    structure = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
-    eroded = ndimage.binary_erosion(mask, structure=structure, border_value=0)
-    return ndimage.binary_dilation(eroded, structure=structure, border_value=0)
+    return BackgroundModel(w, mu, var), foreground
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,9 @@ def describe(traj, r: int) -> ShapeDescriptor:
     pts = np.asarray(traj, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError("trajectory must be a 2-D point array")
+    if not np.isfinite(pts).all():
+        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))[0]
+        raise ValueError(f"trajectory point {bad} is not finite: {pts[bad].tolist()}")
     l = len(pts) - 1
     n = pts.shape[1]
     if r < 1:

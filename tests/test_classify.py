@@ -3,8 +3,7 @@ import pytest
 
 from trailblaze.classify import (
     ConfusionMatrix, LabeledVideo, SvmModel, VideoSample, accuracy,
-    leave_one_actor_out, predict, read_confusion_csv, read_model, train,
-    write_confusion_csv, write_model,
+    leave_one_actor_out, predict, read_model, train, write_model,
 )
 from trailblaze.media import save_arrays
 
@@ -49,6 +48,15 @@ class TestTrain:
         model = train(examples, epochs=50, seed=3)
         assert all(predict(model, e.fv) == e.label for e in examples)
 
+    @pytest.mark.parametrize("kwargs, named", [
+        (dict(C=0.0), "C must be > 0, got 0.0"),
+        (dict(C=-1.0), "C must be > 0, got -1.0"),
+        (dict(epochs=0), "epochs must be >= 1, got 0"),
+    ])
+    def test_bad_parameter_rejected_with_value(self, kwargs, named):
+        with pytest.raises(ValueError, match=named):
+            train(separable_blobs(), **kwargs)
+
 
 class TestPredict:
     def test_deep_interior_point(self):
@@ -83,6 +91,17 @@ class TestPredict:
         model = SvmModel(weights=np.zeros((2, 3)), biases=np.zeros(2), labels=("a", "b"))
         with pytest.raises(ValueError, match="dimension"):
             predict(model, np.zeros(4))
+
+    @pytest.mark.parametrize("fv, named", [
+        ([np.nan, 1.0], "feature 0 is not finite: nan"),
+        ([1.0, np.inf], "feature 1 is not finite: inf"),
+        ([-np.inf, np.nan], "feature 0 is not finite: -inf"),
+    ])
+    def test_non_finite_feature_names_index(self, fv, named):
+        for model in (train(separable_blobs(seed=9), seed=0),
+                      SvmModel(weights=np.zeros((2, 2)), biases=np.zeros(2), labels=("a", "b"))):
+            with pytest.raises(ValueError, match=named):
+                predict(model, np.array(fv))
 
 
 class TestAccuracy:
@@ -194,11 +213,3 @@ class TestModelIO:
         save_arrays(p, **arrays)
         with pytest.raises(ValueError, match=r"model\.npz"):
             read_model(p)
-
-    def test_confusion_csv_round_trip(self, tmp_path):
-        cm = ConfusionMatrix(np.array([[5, 1], [2, 7]]), ("jump", "walk"))
-        p = tmp_path / "cm.csv"
-        write_confusion_csv(p, cm)
-        back = read_confusion_csv(p)
-        assert back.labels == cm.labels
-        assert np.array_equal(back.counts, cm.counts)

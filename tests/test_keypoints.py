@@ -7,13 +7,14 @@ from trailblaze.keypoints import CIRCLE, describe_patch, detect_fast, match_reci
 from trailblaze.media import Frame, _gray, to_grayscale
 
 
-def segment_test_oracle(img, x, y, threshold, arc=9):
-    """Exhaustive contiguous-arc test at one pixel, independent of the detector."""
+def segment_test_oracle(img, x, y, threshold):
+    """Exhaustive FAST-9 test at one pixel, independent of the detector: nine
+    contiguous circle pixels all brighter or all darker than the threshold."""
     c = float(img[y, x])
     ring = [float(img[y + dy, x + dx]) for dx, dy in CIRCLE]
     for states in [[v > c + threshold for v in ring], [v < c - threshold for v in ring]]:
         for start in range(16):
-            if all(states[(start + k) % 16] for k in range(arc)):
+            if all(states[(start + k) % 16] for k in range(9)):
                 return True
     return False
 

@@ -1,11 +1,15 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from trailblaze import media
 from trailblaze.media import (
-    Clip, Frame, GroundTruth, ObjectPath, SceneSpec, load_clip, load_scene_spec,
-    parse_scene_spec, synth_stereo, to_grayscale, write_clip,
+    Clip, Frame, ObjectPath, SceneSpec, load_clip, synth_stereo, to_grayscale, write_clip,
 )
 
 
@@ -42,6 +46,13 @@ class TestToGrayscale:
     def test_gray_passthrough(self):
         f = Frame.from_array(np.full((3, 4), 9, dtype=np.uint8))
         assert to_grayscale(f) is f
+
+
+class TestFrame:
+    @pytest.mark.parametrize("shape", [(5,), ()])
+    def test_from_array_other_shape_rejected_with_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            Frame.from_array(np.zeros(shape, dtype=np.uint8))
 
 
 class TestGray:
@@ -195,19 +206,19 @@ def pinhole_oracle(spec, u, v, z):
 
 class TestSynthStereo:
     def test_static_scene_zero_flow(self):
-        spec = simple_spec(objects=(ObjectPath("static", {"u0": 30.0, "v0": 20.0, "z0": 3.0}),))
+        spec = simple_spec(objects=(ObjectPath("line", {"u0": 30.0, "v0": 20.0, "z0": 3.0}),))
         _, _, gt = synth_stereo(spec)
         assert np.all(np.diff(gt.left_uv, axis=0) == 0)
         assert np.all(np.diff(gt.right_uv, axis=0) == 0)
 
     def test_far_object_near_zero_disparity(self):
-        spec = simple_spec(objects=(ObjectPath("static", {"u0": 32.0, "v0": 24.0, "z0": 1e9}),))
+        spec = simple_spec(objects=(ObjectPath("line", {"u0": 32.0, "v0": 24.0, "z0": 1e9}),))
         _, _, gt = synth_stereo(spec)
         assert np.all(gt.disparity < 1e-6)
 
     def test_disparity_is_fb_over_z(self):
         # f=100, b=0.3, Z=3 -> d = 10, via direct pinhole oracle u - u'
-        spec = simple_spec(objects=(ObjectPath("static", {"u0": 32.0, "v0": 24.0, "z0": 3.0}),))
+        spec = simple_spec(objects=(ObjectPath("line", {"u0": 32.0, "v0": 24.0, "z0": 3.0}),))
         _, _, gt = synth_stereo(spec)
         (u, v), (ur, vr) = pinhole_oracle(spec, 32.0, 24.0, 3.0)
         assert abs((u - ur) - 10.0) < 1e-12
@@ -230,7 +241,7 @@ class TestSynthStereo:
             assert np.array_equal(a.data, b.data)
 
     def test_object_never_visible_errors(self):
-        spec = simple_spec(objects=(ObjectPath("static", {"u0": 500.0, "v0": 500.0, "z0": 3.0}),))
+        spec = simple_spec(objects=(ObjectPath("line", {"u0": 500.0, "v0": 500.0, "z0": 3.0}),))
         with pytest.raises(ValueError, match="never projects"):
             synth_stereo(spec)
 
@@ -256,33 +267,67 @@ class TestSynthStereo:
                                                      "dz": -0.5}),))
 
 
-class TestSceneSpecFile:
-    TEXT = """\
-# scene
-focal=100
-baseline=0.3
-width=64
-height=48
-frames=6
-noise_sigma=0.0
-seed=5
-object=line:u0=20,v0=24,du=0.5,z0=3
-object=circle:u0=40,v0=24,radius=5,period=12,z0=4
-"""
 
-    def test_parse(self):
-        spec = parse_scene_spec(self.TEXT)
-        assert spec.focal == 100.0 and spec.frames == 6
-        assert len(spec.objects) == 2
-        assert spec.objects[1].kind == "circle"
-        assert spec.objects[1].params["radius"] == 5.0
+class TestObjectPath:
+    @pytest.mark.parametrize("t", [0.0, 2.5, 7.0, 31.0])
+    def test_circle_stays_radius_from_center(self, t):
+        path = ObjectPath("circle", {"u0": 30.0, "v0": 20.0, "radius": 4.5, "period": 13.0,
+                                     "phase": 0.7, "z0": 3.0, "dz": -0.05})
+        u, v, z = path.center(t)
+        assert math.hypot(u - 30.0, v - 20.0) == pytest.approx(4.5, abs=1e-12)
+        assert z == pytest.approx(3.0 - 0.05 * t, abs=1e-12)
 
-    def test_round_trip(self, tmp_path):
-        spec = parse_scene_spec(self.TEXT)
-        (tmp_path / "s.spec").write_text(media.format_scene_spec(spec))
-        again = load_scene_spec(tmp_path / "s.spec")
-        assert again == spec
+    def test_circle_starts_at_phase_and_closes_after_one_period(self):
+        path = ObjectPath("circle", {"u0": 30.0, "v0": 20.0, "radius": 4.5, "period": 13.0,
+                                     "phase": 0.7})
+        want = (30.0 + 4.5 * math.cos(0.7), 20.0 + 4.5 * math.sin(0.7))
+        assert path.center(0.0)[:2] == pytest.approx(want, abs=1e-12)
+        assert path.center(13.0)[:2] == pytest.approx(want, abs=1e-12)
 
-    def test_unknown_key(self):
-        with pytest.raises(ValueError, match="unknown key"):
-            parse_scene_spec("focal=10\nbogus=1\n")
+    def test_vosc_is_a_vertical_sine(self):
+        p = {"u0": 10.0, "v0": 20.0, "du": 0.4, "amp": 3.0, "period": 12.0, "phase": 0.9}
+        path = ObjectPath("vosc", p)
+        # v - v0 = amp sin(phase) at t = 0, amp cos(phase) a quarter period later
+        assert path.center(0.0)[1] - 20.0 == pytest.approx(3.0 * math.sin(0.9), abs=1e-12)
+        assert path.center(3.0)[1] - 20.0 == pytest.approx(3.0 * math.cos(0.9), abs=1e-12)
+        assert path.center(12.0)[1] == pytest.approx(path.center(0.0)[1], abs=1e-12)
+        assert [path.center(t)[0] for t in (0.0, 5.0)] == pytest.approx([10.0, 12.0], abs=1e-12)
+
+
+@st.composite
+def moving_object(draw):
+    """One object of each kind the corpora use, inside a 64x48 frame for 6 frames."""
+    kind = draw(st.sampled_from(["line", "vosc", "circle"]))
+    p = dict(u0=draw(st.floats(20.0, 44.0)), v0=draw(st.floats(16.0, 32.0)),
+             z0=draw(st.floats(2.0, 5.0)), dz=draw(st.floats(-0.1, 0.1)))
+    if kind == "line":
+        p.update(du=draw(st.floats(-1.0, 1.0)), dv=draw(st.floats(-1.0, 1.0)))
+    else:
+        p.update(period=draw(st.floats(6.0, 20.0)), phase=draw(st.floats(0.0, 2.0 * math.pi)))
+    if kind == "vosc":
+        p.update(du=draw(st.floats(-1.0, 1.0)), amp=draw(st.floats(0.5, 4.0)))
+    elif kind == "circle":
+        p.update(radius=draw(st.floats(1.0, 6.0)))
+    return ObjectPath(kind, p)
+
+
+class TestGroundTruthProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(moving_object(), st.floats(-3.0, 3.0))
+    def test_projections_satisfy_epipolar_constraint(self, obj, toein):
+        spec = simple_spec(objects=(obj,), focal=80.0, toein=toein)
+        _, _, gt = synth_stereo(spec)
+        pl = np.concatenate([gt.left_uv[:, 0], np.ones((spec.frames, 1))], axis=1)
+        pr = np.concatenate([gt.right_uv[:, 0], np.ones((spec.frames, 1))], axis=1)
+        assert np.abs(np.einsum("ti,ij,tj->t", pl, gt.F, pr)).max() < 1e-9
+
+    @settings(max_examples=30, deadline=None)
+    @given(moving_object())
+    def test_parallel_rig_shares_rows_and_disparity_is_fb_over_z(self, obj):
+        spec = simple_spec(objects=(obj,), focal=80.0)
+        _, _, gt = synth_stereo(spec)
+        fb_over_z = np.array([80.0 * 0.3 / obj.center(t)[2] for t in range(spec.frames)])
+        assert np.allclose(gt.left_uv[:, 0, 1], gt.right_uv[:, 0, 1], rtol=0, atol=1e-9)
+        assert np.allclose(gt.left_uv[:, 0, 0] - gt.right_uv[:, 0, 0], fb_over_z,
+                           rtol=0, atol=1e-9)
+        assert np.allclose(gt.disparity[:, 0], fb_over_z, rtol=1e-12, atol=0)

@@ -2,15 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
-from trailblaze.roi import (
-    BackgroundModel, Roi, extract_regions, morph_clean, update_and_subtract,
-)
+from trailblaze.roi import BackgroundModel, Roi, extract_regions, update_and_subtract
 
 
-def run_model(frames, **kw):
-    model = BackgroundModel.initialize(frames[0], **kw)
+def run_model(frames):
+    model = BackgroundModel.initialize(frames[0])
     mask = None
     for f in frames:
         model, mask = update_and_subtract(model, f)
@@ -51,45 +48,6 @@ class TestBackgroundModel:
         model = BackgroundModel.initialize(np.zeros((10, 10)))
         with pytest.raises(ValueError, match="match"):
             update_and_subtract(model, np.zeros((5, 5)))
-
-
-def opening_oracle(mask, radius):
-    """Naive sliding-window min filter then max filter, outside = background."""
-    h, w = mask.shape
-    pad = np.zeros((h + 2 * radius, w + 2 * radius), dtype=bool)
-    pad[radius:radius + h, radius:radius + w] = mask
-    eroded = np.zeros_like(mask)
-    for y in range(h):
-        for x in range(w):
-            eroded[y, x] = pad[y:y + 2 * radius + 1, x:x + 2 * radius + 1].all()
-    pad[:] = False
-    pad[radius:radius + h, radius:radius + w] = eroded
-    out = np.zeros_like(mask)
-    for y in range(h):
-        for x in range(w):
-            out[y, x] = pad[y:y + 2 * radius + 1, x:x + 2 * radius + 1].any()
-    return out
-
-
-class TestMorphClean:
-    def test_isolated_pixel_removed(self):
-        mask = np.zeros((15, 15), dtype=bool)
-        mask[7, 7] = True
-        assert not morph_clean(mask, 1).any()
-
-    def test_large_block_preserved(self):
-        mask = np.zeros((30, 30), dtype=bool)
-        mask[5:25, 5:25] = True
-        assert np.array_equal(morph_clean(mask, 1), mask)
-
-    @settings(max_examples=30, deadline=None)
-    @given(hnp.arrays(bool, (14, 17)), st.integers(1, 3))
-    def test_matches_min_max_oracle(self, mask, radius):
-        assert np.array_equal(morph_clean(mask, radius), opening_oracle(mask, radius))
-
-    def test_radius_validation(self):
-        with pytest.raises(ValueError):
-            morph_clean(np.zeros((5, 5), dtype=bool), 0)
 
 
 def union_find_oracle(boxes, proximity):

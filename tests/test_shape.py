@@ -73,6 +73,13 @@ class TestDescribe:
         with pytest.raises(ValueError, match="exceeds"):
             describe(np.zeros((3, 2)), r=3)
 
+    @pytest.mark.parametrize("row, value", [(0, np.nan), (3, np.inf), (5, -np.inf)])
+    def test_non_finite_point_names_row(self, row, value):
+        pts = np.arange(18.0).reshape(6, 3)
+        pts[row, 1] = value
+        with pytest.raises(ValueError, match=f"point {row} is not finite"):
+            describe(pts, r=2)
+
     def test_order_cap(self):
         with pytest.raises(ValueError, match="maximum"):
             describe(np.zeros((20, 2)), r=8)
