@@ -1,7 +1,5 @@
 """One-vs-rest linear SVMs trained by averaged stochastic subgradient descent,
 plus the leave-one-actor-out evaluation harness with blended confusion matrices.
-
-Model files are ``media.save_arrays`` archives.
 """
 
 from __future__ import annotations
@@ -12,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import fisher_vector, fit_gmm
-from .media import load_arrays, save_arrays
+
+GMM_MAX_POINTS = 100_000  # a fold's codebook is fit on at most this many descriptors
 
 
 @dataclass(frozen=True)
@@ -134,8 +133,7 @@ def accuracy(cm: ConfusionMatrix) -> float:
 
 
 def leave_one_actor_out(videos, k: int = 64, C: float = 1.0, epochs: int = 50,
-                        seed: int = 0, max_iters: int = 100,
-                        gmm_max_points: int = 100_000) -> ConfusionMatrix:
+                        seed: int = 0, max_iters: int = 100) -> ConfusionMatrix:
     """One fold per actor: the fold's videos are tested against a codebook
     and SVM fit on the remaining actors only; fold confusion matrices are
     summed into the blended matrix."""
@@ -161,9 +159,9 @@ def leave_one_actor_out(videos, k: int = 64, C: float = 1.0, epochs: int = 50,
         if not pool:
             raise ValueError(f"fold for actor {actor} has no training descriptors")
         pool = np.vstack(pool)
-        if len(pool) > gmm_max_points:
+        if len(pool) > GMM_MAX_POINTS:
             rng = np.random.default_rng(fold_seed)
-            pool = pool[rng.choice(len(pool), gmm_max_points, replace=False)]
+            pool = pool[rng.choice(len(pool), GMM_MAX_POINTS, replace=False)]
         codebook = fit_gmm(pool, k=k, seed=fold_seed, max_iters=max_iters)
         model = train([LabeledVideo(fisher_vector(v.descriptors, codebook), v.label, v.actor)
                        for v in train_videos], C=C, epochs=epochs, seed=fold_seed)
@@ -171,21 +169,3 @@ def leave_one_actor_out(videos, k: int = 64, C: float = 1.0, epochs: int = 50,
             fv = fisher_vector(v.descriptors, codebook)
             counts[index[v.label], index[predict(model, fv)]] += 1
     return ConfusionMatrix(counts=counts, labels=labels)
-
-
-# ---------------------------------------------------------------------------
-# File formats
-
-
-def write_model(path, model: SvmModel) -> None:
-    save_arrays(path, labels=np.array(model.labels, dtype=str), weights=model.weights,
-                biases=model.biases)
-
-
-def read_model(path) -> SvmModel:
-    arrays = load_arrays(path, ("labels", "weights", "biases"))
-    try:
-        return SvmModel(weights=arrays["weights"], biases=arrays["biases"],
-                        labels=tuple(arrays["labels"].tolist()))
-    except ValueError as exc:
-        raise ValueError(f"model file {path}: {exc}") from None

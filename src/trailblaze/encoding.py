@@ -3,7 +3,7 @@
 The codebook is seeded with k-means++ and refined by EM until the per-point
 log-likelihood gain drops below 1e-6.  Encoding keeps the mean and variance
 gradient blocks (dimension 2*N*K), then applies signed square-root and L2
-normalization.  Codebook files are ``media.save_arrays`` archives.
+normalization.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .media import load_arrays, save_arrays
 
 VARIANCE_FLOOR = 1e-6
 EM_TOL = 1e-6
@@ -149,20 +147,3 @@ def gmm_log_likelihood(X, weights, means, variances) -> float:
     _, point_ll = _log_responsibilities(np.atleast_2d(np.asarray(X, float)),
                                         weights, means, variances)
     return float(point_ll.sum())
-
-
-# ---------------------------------------------------------------------------
-# Codebook files
-
-
-def write_codebook(path, codebook: FisherCodebook) -> None:
-    save_arrays(path, weights=codebook.weights, means=codebook.means,
-                variances=codebook.variances)
-
-
-def read_codebook(path) -> FisherCodebook:
-    arrays = load_arrays(path, ("weights", "means", "variances"))
-    try:
-        return FisherCodebook(**arrays)
-    except ValueError as exc:
-        raise ValueError(f"codebook file {path}: {exc}") from None

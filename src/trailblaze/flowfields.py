@@ -74,15 +74,8 @@ def _pyramid(img: np.ndarray, levels: int, min_dim: int) -> list:
 
 
 def _gradients(img: np.ndarray) -> tuple:
-    gx = np.empty_like(img)
-    gx[:, 1:-1] = (img[:, 2:] - img[:, :-2]) / 2.0
-    gx[:, 0] = img[:, 1] - img[:, 0]
-    gx[:, -1] = img[:, -1] - img[:, -2]
-    gy = np.empty_like(img)
-    gy[1:-1, :] = (img[2:, :] - img[:-2, :]) / 2.0
-    gy[0, :] = img[1, :] - img[0, :]
-    gy[-1, :] = img[-1, :] - img[-2, :]
-    return gx, gy
+    # np.gradient gives (d/dy, d/dx): central differences, one-sided at the borders
+    return tuple(np.gradient(img)[::-1])
 
 
 def _as_points(points) -> np.ndarray:

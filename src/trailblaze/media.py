@@ -1,13 +1,10 @@
-"""Frame and clip handling, the shared pixel and artifact helpers, and a
+"""Frame and clip handling, the shared pixel helpers, and a
 ground-truth-bearing synthetic stereo generator.
 
 Clips are directories of binary PGM (P5) / PPM (P6) frames named
 ``frame_000000.pgm`` onwards.  The layers that read pixels convert them with
 ``_gray`` (float64 grayscale in 0-255 units) and sample them with
-``_bilinear``.
-Numeric artifacts (descriptors, codebooks, models) are ``.npz`` archives of
-named arrays written by ``save_arrays`` and read back, without pickle, by
-``load_arrays``.  The synthetic generator renders textured square sprites
+``_bilinear``.  The synthetic generator renders textured square sprites
 moving along parametric paths, seen by a pinhole stereo pair with horizontal
 baseline (optionally toed-in), and reports exact per-frame projections,
 disparities and the fundamental matrix.
@@ -17,7 +14,6 @@ from __future__ import annotations
 
 import math
 import re
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -70,17 +66,6 @@ class Clip:
             if (f.width, f.height, f.channels) != (first.width, first.height, first.channels):
                 raise ValueError("clip frames must share dimensions and channel count")
 
-    def __len__(self):
-        return len(self.frames)
-
-    @property
-    def width(self):
-        return self.frames[0].width
-
-    @property
-    def height(self):
-        return self.frames[0].height
-
 
 def to_grayscale(frame: Frame) -> Frame:
     """Convert to single channel with BT.601 weights, rounding half-up."""
@@ -118,38 +103,6 @@ def _bilinear(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     fy = ys - y0
     return (img[y0, x0] * (1 - fx) * (1 - fy) + img[y0, x1] * fx * (1 - fy)
             + img[y1, x0] * (1 - fx) * fy + img[y1, x1] * fx * fy)
-
-
-# ---------------------------------------------------------------------------
-# Numeric artifacts: one .npz archive of named arrays per file
-
-
-def save_arrays(path, **arrays) -> None:
-    """Write the named arrays to one ``.npz`` archive at exactly `path`."""
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-
-
-def load_arrays(path, names) -> dict:
-    """Read the arrays `names` from an archive written by `save_arrays`.
-
-    Raises ValueError naming `path` when the file is not such an archive or
-    lacks one of the arrays; a missing file raises FileNotFoundError.
-    """
-    try:
-        with open(path, "rb") as fh:
-            data = np.load(fh, allow_pickle=False)
-            if not isinstance(data, np.lib.npyio.NpzFile):
-                raise ValueError("not an .npz archive")
-            arrays = {n: data[n] for n in names if n in data.files}
-    except FileNotFoundError:
-        raise
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"unreadable array file {path}: {exc}") from None
-    missing = [n for n in names if n not in arrays]
-    if missing:
-        raise ValueError(f"array file {path} lacks {missing}")
-    return arrays
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +191,24 @@ class ObjectPath:
 
     Kinds: line (velocity du, dv), vosc (du plus a vertical sine of amp,
     period and phase) and circle (radius, period, phase).  All kinds accept
-    z0/dz so any of them can drift in depth.
+    z0/dz so any of them can drift in depth, and ``patch`` sets the sprite
+    size.  Any other key is rejected, so a misspelt one cannot fall back to
+    its default.
     """
 
     kind: str
     params: dict = field(default_factory=dict)
 
     _KINDS = ("line", "vosc", "circle")
+    _KEYS = frozenset(("u0", "v0", "z0", "dz", "du", "dv", "amp", "period", "phase",
+                       "radius", "patch"))
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown object path kind {self.kind!r}")
+        if not self._KEYS.issuperset(self.params):
+            bad = sorted(self.params.keys() - self._KEYS)
+            raise ValueError(f"unknown object path parameters {bad} for kind {self.kind!r}")
 
     def center(self, t: float) -> tuple:
         """(u, v, Z): left-image position and depth at frame t."""

@@ -2,8 +2,7 @@
 
 The order-r descriptor of an (l+1, n) point array stacks the difference
 sequences of orders 1..r, each point flattened x,y[,d] and points laid out in
-time order.  Its dimension is n*(r*(l+1) - r*(r+1)/2).  Descriptor files are
-``media.save_arrays`` archives.
+time order.  Its dimension is n*(r*(l+1) - r*(r+1)/2).
 """
 
 from __future__ import annotations
@@ -11,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .media import load_arrays, save_arrays
 
 MAX_ORDER = 7
 
@@ -55,34 +52,3 @@ def describe(traj, r: int) -> ShapeDescriptor:
         cur = np.diff(cur, axis=0)
         blocks.append(cur.ravel())
     return ShapeDescriptor(values=np.concatenate(blocks), r=r, n=n, l=l)
-
-
-# ---------------------------------------------------------------------------
-# Descriptor files: per row a clip id, a label and (n, l, r); the values of all
-# rows concatenated in row order
-
-
-def write_descriptors(path, rows) -> None:
-    """rows: iterable of (clip_id, label, ShapeDescriptor)."""
-    rows = list(rows)
-    shapes = np.array([(d.n, d.l, d.r) for _, _, d in rows], dtype=np.int64).reshape(-1, 3)
-    save_arrays(path,
-                clip_ids=np.array([c for c, _, _ in rows], dtype=str),
-                labels=np.array([lab for _, lab, _ in rows], dtype=str),
-                shapes=shapes,
-                values=np.concatenate([np.zeros(0)] + [d.values.ravel() for _, _, d in rows]))
-
-
-def read_descriptors(path) -> list:
-    """Returns a list of (clip_id, label, ShapeDescriptor)."""
-    a = load_arrays(path, ("clip_ids", "labels", "shapes", "values"))
-    ids, labels, shapes, values = a["clip_ids"], a["labels"], a["shapes"], a["values"]
-    if (ids.ndim != 1 or labels.shape != ids.shape or shapes.shape != (len(ids), 3)
-            or values.ndim != 1):
-        raise ValueError(f"descriptor file {path}: needs one clip id, label and (n, l, r) per row")
-    sizes = [descriptor_dim(*(int(x) for x in s)) for s in shapes]
-    if sum(sizes) != values.size:
-        raise ValueError(f"descriptor file {path}: {values.size} values for {sum(sizes)} entries")
-    parts = np.split(values, np.cumsum(sizes)[:-1])
-    return [(str(c), str(lab), ShapeDescriptor(values=v, r=int(r), n=int(n), l=int(l)))
-            for c, lab, (n, l, r), v in zip(ids, labels, shapes, parts)]

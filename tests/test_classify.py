@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from trailblaze import classify
 from trailblaze.classify import (
     ConfusionMatrix, LabeledVideo, SvmModel, VideoSample, accuracy,
-    leave_one_actor_out, predict, read_model, train, write_model,
+    leave_one_actor_out, predict, train,
 )
-from trailblaze.media import save_arrays
 
 
 def separable_blobs(seed=0, per_class=20, gap=4.0):
@@ -188,28 +188,39 @@ class TestLeaveOneActorOut:
         assert np.array_equal(a.counts, b.counts)
 
 
-class TestModelIO:
-    def test_round_trip(self, tmp_path):
-        model = train(separable_blobs(seed=10), seed=0)
-        p = tmp_path / "model.txt"
-        write_model(p, model)
-        back = read_model(p)
-        assert back.labels == model.labels
-        assert np.array_equal(back.weights, model.weights)
-        assert np.array_equal(back.biases, model.biases)
+    def test_gmm_pool_subsampled_to_cap(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        videos = [VideoSample(f"c{c}a{a}r{r}", f"class{c}", f"actor{a}", rng.normal(0, 1, (12, 3)))
+                  for c in range(2) for a in range(3) for r in range(2)]
+        owner = {row.tobytes(): v.actor for v in videos for row in v.descriptors}
+        pools, fit_gmm = [], classify.fit_gmm
 
-    @pytest.mark.parametrize("damage", [
-        lambda a: a.pop("biases"),
-        lambda a: a.update(labels=a["labels"][:1]),
-        lambda a: a.update(biases=a["biases"][:1]),
-        lambda a: a.update(weights=a["weights"].ravel()),
-    ])
-    def test_damaged_file_names_path(self, tmp_path, damage):
-        model = train(separable_blobs(seed=11), seed=0)
-        arrays = dict(labels=np.array(model.labels), weights=model.weights,
-                      biases=model.biases)
-        damage(arrays)
-        p = tmp_path / "model.npz"
-        save_arrays(p, **arrays)
-        with pytest.raises(ValueError, match=r"model\.npz"):
-            read_model(p)
+        def recording_fit_gmm(pool, **kw):
+            pools.append(pool)
+            return fit_gmm(pool, **kw)
+
+        monkeypatch.setattr(classify, "fit_gmm", recording_fit_gmm)
+        monkeypatch.setattr(classify, "GMM_MAX_POINTS", 20)  # each fold pools 48 rows
+        leave_one_actor_out(videos, k=2, epochs=5, seed=3)
+        first = pools[:]
+        leave_one_actor_out(videos, k=2, epochs=5, seed=3)
+        assert len(pools) == 6
+        for actor, pool in zip(["actor0", "actor1", "actor2"], first):
+            assert len(pool) == len(np.unique(pool, axis=0)) == 20
+            assert all(owner[row.tobytes()] != actor for row in pool)
+        for a, b in zip(first, pools[3:]):
+            assert np.array_equal(a, b)
+
+
+class TestSvmModel:
+    @pytest.mark.parametrize("field, value", [
+        ("labels", ("a",)),
+        ("biases", np.zeros(1)),
+        ("weights", np.zeros(6)),
+    ], ids=["labels_short", "biases_short", "weights_1d"])
+    def test_bad_shape_rejected(self, field, value):
+        parts = dict(weights=np.zeros((2, 3)), biases=np.zeros(2), labels=("a", "b"))
+        SvmModel(**parts)
+        parts[field] = value
+        with pytest.raises(ValueError, match="one weight vector and bias per class"):
+            SvmModel(**parts)

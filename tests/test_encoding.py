@@ -4,9 +4,8 @@ import pytest
 from trailblaze import encoding
 from trailblaze.encoding import (
     FisherCodebook, _fv_blocks, _log_responsibilities, fisher_vector, fit_gmm,
-    gmm_log_likelihood, read_codebook, write_codebook,
+    gmm_log_likelihood,
 )
-from trailblaze.media import save_arrays
 
 
 def make_codebook(seed=0, k=3, n=4):
@@ -179,27 +178,15 @@ class TestFisherVector:
             assert err_sigma < 1e-4, f"trial {trial}: variance-block mismatch {err_sigma}"
 
 
-class TestCodebookIO:
-    def test_round_trip(self, tmp_path):
-        cb = make_codebook(seed=11, k=4, n=3)
-        p = tmp_path / "cb.txt"
-        write_codebook(p, cb)
-        back = read_codebook(p)
-        assert np.array_equal(back.weights, cb.weights)
-        assert np.array_equal(back.means, cb.means)
-        assert np.array_equal(back.variances, cb.variances)
-
+class TestFisherCodebook:
     @pytest.mark.parametrize("damage", [
-        lambda a: a.pop("variances"),
-        lambda a: a.update(variances=a["variances"][:-1]),
-        lambda a: a.update(means=a["means"][:, :-1]),
         lambda a: a.update(weights=a["weights"][:, None]),
-    ])
-    def test_damaged_file_names_path(self, tmp_path, damage):
+        lambda a: a.update(means=a["means"][:, :-1]),
+        lambda a: a.update(variances=a["variances"][:-1]),
+    ], ids=["weights_k1", "means_n_minus_1", "variances_k_minus_1"])
+    def test_bad_shape_rejected(self, damage):
         cb = make_codebook(seed=12, k=4, n=3)
-        arrays = dict(weights=cb.weights, means=cb.means, variances=cb.variances)
-        damage(arrays)
-        p = tmp_path / "cb.npz"
-        save_arrays(p, **arrays)
-        with pytest.raises(ValueError, match=r"cb\.npz"):
-            read_codebook(p)
+        parts = dict(weights=cb.weights, means=cb.means, variances=cb.variances)
+        damage(parts)
+        with pytest.raises(ValueError, match="codebook needs weights"):
+            FisherCodebook(**parts)

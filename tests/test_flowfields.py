@@ -33,6 +33,19 @@ def interior_corners(img, margin):
             if margin <= c.x < w - margin and margin <= c.y < h - margin]
 
 
+def gradients_oracle(img):
+    """The slice form _gradients had before it called np.gradient."""
+    gx = np.empty_like(img)
+    gx[:, 1:-1] = (img[:, 2:] - img[:, :-2]) / 2.0
+    gx[:, 0] = img[:, 1] - img[:, 0]
+    gx[:, -1] = img[:, -1] - img[:, -2]
+    gy = np.empty_like(img)
+    gy[1:-1, :] = (img[2:, :] - img[:-2, :]) / 2.0
+    gy[0, :] = img[1, :] - img[0, :]
+    gy[-1, :] = img[-1, :] - img[-2, :]
+    return gx, gy
+
+
 def lk_track_oracle(prev, next, points, levels: int = 3, window: int = 15) -> list:
     """The per-point loop lk_track was before it solved all points together."""
     img0 = _gray(prev) / 255.0
@@ -104,6 +117,16 @@ def lk_track_oracle(prev, next, points, levels: int = 3, window: int = 15) -> li
         else:
             results.append(TrackResult((qx, qy), "tracked"))
     return results
+
+
+class TestGradients:
+    @pytest.mark.parametrize("shape", [(72, 96), (36, 48), (2, 5), (5, 2), (2, 2)])
+    def test_matches_slice_oracle_bitwise(self, shape):
+        img = smooth_texture(3, shape, blur=0.0) / 255.0
+        got, want = _gradients(img), gradients_oracle(img)
+        assert isinstance(got, tuple) and len(got) == 2
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 class TestLkTrackOracle:

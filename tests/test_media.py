@@ -89,46 +89,6 @@ class TestBilinear:
         assert np.array_equal(media._bilinear(img, xs.astype(float), ys.astype(float)), img)
 
 
-class TestArrays:
-    def test_round_trip_at_exact_path(self, tmp_path):
-        p = tmp_path / "a.bin"
-        w = np.random.default_rng(0).normal(size=(3, 4))
-        media.save_arrays(p, w=w, names=np.array(["x", "y z"]))
-        assert [q.name for q in tmp_path.iterdir()] == ["a.bin"]
-        back = media.load_arrays(p, ("w", "names"))
-        assert np.array_equal(back["w"], w)
-        assert back["names"].tolist() == ["x", "y z"]
-
-    def test_missing_array_names_path(self, tmp_path):
-        p = tmp_path / "a.npz"
-        media.save_arrays(p, w=np.zeros(2))
-        with pytest.raises(ValueError, match=r"a\.npz.*'v'"):
-            media.load_arrays(p, ("w", "v"))
-
-    @pytest.mark.parametrize("content", [b"", b"1 2 3\n", b"PK\x03\x04 truncated"])
-    def test_unreadable_file_names_path(self, tmp_path, content):
-        p = tmp_path / "a.npz"
-        p.write_bytes(content)
-        with pytest.raises(ValueError, match=r"a\.npz"):
-            media.load_arrays(p, ("w",))
-
-    def test_single_array_file_rejected(self, tmp_path):
-        p = tmp_path / "a.npy"
-        np.save(p, np.zeros(3))
-        with pytest.raises(ValueError, match=r"a\.npy"):
-            media.load_arrays(p, ("w",))
-
-    def test_pickled_array_rejected(self, tmp_path):
-        p = tmp_path / "a.npz"
-        media.save_arrays(p, w=np.array([{"a": 1}], dtype=object))
-        with pytest.raises(ValueError, match=r"a\.npz"):
-            media.load_arrays(p, ("w",))
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            media.load_arrays(tmp_path / "none.npz", ("w",))
-
-
 class TestClipIO:
     def make_clip(self, n=3, w=64, h=48, seed=1):
         rng = np.random.default_rng(seed)
@@ -140,14 +100,14 @@ class TestClipIO:
         clip = self.make_clip()
         write_clip(clip, tmp_path / "c")
         loaded = load_clip(tmp_path / "c")
-        assert len(loaded) == 3
+        assert len(loaded.frames) == 3
         for a, b in zip(clip.frames, loaded.frames):
             assert np.array_equal(a.data, b.data)
 
     def test_loader_contract(self, tmp_path):
         write_clip(self.make_clip(), tmp_path / "c")
         clip = load_clip(tmp_path / "c")
-        assert len(clip) == 3 and clip.width == 64
+        assert len(clip.frames) == 3 and clip.frames[0].width == 64
 
     def test_empty_directory(self, tmp_path):
         (tmp_path / "c").mkdir()
@@ -292,6 +252,19 @@ class TestObjectPath:
         assert path.center(3.0)[1] - 20.0 == pytest.approx(3.0 * math.cos(0.9), abs=1e-12)
         assert path.center(12.0)[1] == pytest.approx(path.center(0.0)[1], abs=1e-12)
         assert [path.center(t)[0] for t in (0.0, 5.0)] == pytest.approx([10.0, 12.0], abs=1e-12)
+
+    @pytest.mark.parametrize("kind, key", [("circle", "raduis"), ("line", "speed"),
+                                           ("vosc", "Amp")])
+    def test_unknown_parameter_named(self, kind, key):
+        with pytest.raises(ValueError, match=repr(key)):
+            ObjectPath(kind, {"u0": 10.0, key: 2.0})
+
+    def test_every_known_parameter_accepted_by_every_kind(self):
+        # keys are not checked per kind: the trajectory corpus gives `line` paths a phase
+        params = dict.fromkeys(["u0", "v0", "z0", "dz", "du", "dv", "amp", "period", "phase",
+                                "radius", "patch"], 1.0)
+        for kind in ObjectPath._KINDS:
+            assert ObjectPath(kind, params).center(0.0)[2] == 1.0
 
 
 @st.composite

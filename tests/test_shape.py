@@ -3,10 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trailblaze.media import save_arrays
-from trailblaze.shape import (
-    ShapeDescriptor, describe, descriptor_dim, read_descriptors, write_descriptors,
-)
+from trailblaze.shape import describe, descriptor_dim
 
 
 def forward_difference_oracle(pts):
@@ -120,48 +117,3 @@ class TestDescribe:
             cur = forward_difference_oracle(cur)
             d = describe(pts, r=j)
             assert np.array_equal(d.values[-cur.size:], cur.ravel())
-
-
-class TestDescriptorFile:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        rows = []
-        for i in range(4):
-            pts = rng.normal(0, 3, (8, 2))
-            rows.append((f"clip{i}", "walk", describe(pts, r=2)))
-        p = tmp_path / "d.txt"
-        write_descriptors(p, rows)
-        back = read_descriptors(p)
-        assert len(back) == 4
-        for (cid, lab, d), (cid2, lab2, d2) in zip(rows, back):
-            assert (cid, lab) == (cid2, lab2)
-            assert (d.n, d.l, d.r) == (d2.n, d2.l, d2.r)
-            assert np.array_equal(d.values, d2.values)
-
-    def test_empty_round_trip(self, tmp_path):
-        p = tmp_path / "d.npz"
-        write_descriptors(p, [])
-        assert read_descriptors(p) == []
-
-    def test_mixed_shapes_round_trip(self, tmp_path):
-        rng = np.random.default_rng(4)
-        rows = [("a b", "wave", describe(rng.normal(0, 3, (9, 3)), r=2)),
-                ("c", "walk", describe(rng.normal(0, 3, (5, 2)), r=1))]
-        p = tmp_path / "d.npz"
-        write_descriptors(p, rows)
-        back = read_descriptors(p)
-        assert [(c, lab, d.n, d.l, d.r) for c, lab, d in back] == [("a b", "wave", 3, 8, 2),
-                                                                  ("c", "walk", 2, 4, 1)]
-        for (_, _, d), (_, _, d2) in zip(rows, back):
-            assert np.array_equal(d.values, d2.values)
-
-    @pytest.mark.parametrize("shapes, n_values", [
-        ([[2, 4, 1]], 7),            # one value short
-        ([[2, 4, 1], [2, 4, 1]], 8),  # two (n, l, r) rows for one clip id
-    ])
-    def test_inconsistent_file_names_path(self, tmp_path, shapes, n_values):
-        p = tmp_path / "d.npz"
-        save_arrays(p, clip_ids=np.array(["c"]), labels=np.array(["walk"]),
-                    shapes=np.array(shapes), values=np.zeros(n_values))
-        with pytest.raises(ValueError, match="d.npz"):
-            read_descriptors(p)
