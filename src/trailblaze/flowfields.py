@@ -98,7 +98,8 @@ def lk_track(prev, next, points, levels: int = 3, window: int = 15) -> list:
     Results come in input order.  A point is lost with reason "outside" when
     its window leaves the frame at the start or at the end, and with reason
     "weak_gradient", at its start, when its finest-level gradient matrix is
-    too weak (smaller eigenvalue below 1e-4 * window^2).
+    too weak (smaller eigenvalue below 1e-4 * window^2).  When no window
+    fits in the frame at the start, no pyramid is built.
     """
     img0 = _gray(prev) / 255.0
     img1 = _gray(next) / 255.0
@@ -111,21 +112,23 @@ def lk_track(prev, next, points, levels: int = 3, window: int = 15) -> list:
     pts = _as_points(points)
     if len(pts) == 0:
         return []
-
-    pyr0 = _pyramid(img0, levels, window + 2)
-    pyr1 = _pyramid(img1, levels, window + 2)
-    grads = [_gradients(im) for im in pyr0]
     half = window // 2
-    off = np.arange(-half, half + 1, dtype=np.float64)
-    oy, ox = np.meshgrid(off, off, indexing="ij")
     h, w = img0.shape
-    min_eig_thresh = LK_MIN_EIG_FACTOR * window * window
 
     def inside(p):
         return ((half + 1 <= p[:, 0]) & (p[:, 0] <= w - 2 - half)
                 & (half + 1 <= p[:, 1]) & (p[:, 1] <= h - 2 - half))
 
     started = inside(pts)
+    if not started.any():
+        return [TrackResult((x, y), "lost", "outside") for x, y in pts.tolist()]
+
+    pyr0 = _pyramid(img0, levels, window + 2)
+    pyr1 = _pyramid(img1, levels, window + 2)
+    grads = [_gradients(im) for im in pyr0]
+    off = np.arange(-half, half + 1, dtype=np.float64)
+    oy, ox = np.meshgrid(off, off, indexing="ij")
+    min_eig_thresh = LK_MIN_EIG_FACTOR * window * window
     weak = np.zeros(len(pts), dtype=bool)
     g = np.zeros_like(pts)
     live = np.flatnonzero(started)

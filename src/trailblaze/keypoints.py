@@ -20,6 +20,7 @@ CIRCLE = [(0, -3), (1, -3), (2, -2), (3, -1), (3, 0), (3, 1), (2, 2), (1, 3),
 
 DESCRIPTOR_DIM = 128  # 4x4 cells x 8 orientation bins
 FAST_ARC = 9          # contiguous circle pixels that make a corner
+MATCH_RATIO = 0.8     # Lowe's ratio test: best distance < MATCH_RATIO * second best
 
 
 @dataclass(frozen=True)
@@ -104,11 +105,10 @@ def describe_patch(gray, p, patch: int = 16) -> np.ndarray:
     return v / np.sqrt(v.dot(v))
 
 
-def match_reciprocal(a, b, ratio: float = 0.8) -> list:
-    """Mutual nearest-neighbor pairs (i, j) passing Lowe's ratio test in both
-    directions; singleton sets skip the ratio test.  Sorted by index_a."""
-    if not 0.0 < ratio <= 1.0:
-        raise ValueError("ratio must be in (0, 1]")
+def match_reciprocal(a, b) -> list:
+    """Mutual nearest-neighbor pairs (i, j) passing Lowe's ratio test with
+    MATCH_RATIO in both directions; singleton sets skip the ratio test.
+    Sorted by index_a."""
     A = np.atleast_2d(np.asarray(a, dtype=np.float64)) if len(a) else np.zeros((0, 1))
     B = np.atleast_2d(np.asarray(b, dtype=np.float64)) if len(b) else np.zeros((0, 1))
     if A.shape[0] == 0 or B.shape[0] == 0:
@@ -126,7 +126,7 @@ def match_reciprocal(a, b, ratio: float = 0.8) -> list:
     # ratio test: the best distance against the second smallest of its row
     # and of its column; a singleton row or column skips it
     if B.shape[0] > 1:
-        keep &= best < ratio * np.partition(d, 1, axis=1)[:, 1]
+        keep &= best < MATCH_RATIO * np.partition(d, 1, axis=1)[:, 1]
     if A.shape[0] > 1:
-        keep &= best < ratio * np.partition(d, 1, axis=0)[1, nn_ab]
+        keep &= best < MATCH_RATIO * np.partition(d, 1, axis=0)[1, nn_ab]
     return list(zip(rows[keep].tolist(), nn_ab[keep].tolist()))

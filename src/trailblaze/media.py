@@ -5,14 +5,15 @@ Clips are directories of binary PGM (P5) / PPM (P6) frames named
 ``frame_000000.pgm`` onwards.  The layers that read pixels convert them with
 ``_gray`` (float64 grayscale in 0-255 units) and sample them with
 ``_bilinear``.  The synthetic generator renders textured square sprites
-moving along parametric paths, seen by a pinhole stereo pair with horizontal
-baseline (optionally toed-in), and reports exact per-frame projections,
-disparities and the fundamental matrix.
+moving along parametric paths, seen by a rectified pinhole stereo pair with
+horizontal baseline, and reports exact per-frame projections, disparities
+and the fundamental matrix.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -26,29 +27,35 @@ GRAY_WEIGHTS = (0.299, 0.587, 0.114)  # BT.601
 class Frame:
     """A single image; ``data`` is uint8, shape (h, w) or (h, w, 3)."""
 
-    width: int
-    height: int
-    channels: int
     data: np.ndarray
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise ValueError("frame dimensions must be >= 1")
-        if self.channels not in (1, 3):
-            raise ValueError(f"unsupported channel count {self.channels}")
-        expected = (self.height, self.width) if self.channels == 1 else (self.height, self.width, 3)
-        if self.data.shape != expected:
-            raise ValueError(f"data shape {self.data.shape} does not match {expected}")
+        shape = self.data.shape
+        if self.data.dtype != np.uint8:
+            raise ValueError(f"frame data must be uint8, got {self.data.dtype} of shape {shape}")
+        if len(shape) not in (2, 3) or shape[2:] not in ((), (3,)):
+            raise ValueError(f"frame data must have shape (h, w) or (h, w, 3), got {shape}")
+        if min(shape[:2]) < 1:
+            raise ValueError(f"frame sides must be >= 1, got shape {shape}")
+
+    @property
+    def width(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def channels(self) -> int:
+        return 1 if self.data.ndim == 2 else 3
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Frame":
         arr = np.asarray(arr)
-        if arr.ndim not in (2, 3):
-            raise ValueError(f"expected an (h, w) or (h, w, C) array, got shape {arr.shape}")
         if arr.dtype != np.uint8:
             arr = np.clip(np.round(arr), 0, 255).astype(np.uint8)
-        channels = 1 if arr.ndim == 2 else arr.shape[2]
-        return cls(width=arr.shape[1], height=arr.shape[0], channels=channels, data=arr)
+        return cls(arr)
 
 
 @dataclass(frozen=True)
@@ -61,9 +68,9 @@ class Clip:
     def __post_init__(self):
         if len(self.frames) < 2:
             raise ValueError("a clip needs at least 2 frames")
-        first = self.frames[0]
+        shape = self.frames[0].data.shape
         for f in self.frames[1:]:
-            if (f.width, f.height, f.channels) != (first.width, first.height, first.channels):
+            if f.data.shape != shape:
                 raise ValueError("clip frames must share dimensions and channel count")
 
 
@@ -74,7 +81,7 @@ def to_grayscale(frame: Frame) -> Frame:
     rgb = frame.data.astype(np.float64)
     y = rgb[..., 0] * GRAY_WEIGHTS[0] + rgb[..., 1] * GRAY_WEIGHTS[1] + rgb[..., 2] * GRAY_WEIGHTS[2]
     y = np.clip(np.floor(y + 0.5), 0, 255).astype(np.uint8)
-    return Frame(frame.width, frame.height, 1, y)
+    return Frame(y)
 
 
 def _gray(image) -> np.ndarray:
@@ -226,9 +233,17 @@ class ObjectPath:
         return (u0 + r * math.cos(ph), v0 + r * math.sin(ph), z)
 
 
+def _check_sprite_size(name: str, size) -> None:
+    if not (isinstance(size, numbers.Real) and float(size).is_integer() and size >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
+
+
 @dataclass(frozen=True)
 class SceneSpec:
-    """Parameters of a synthetic stereo scene."""
+    """Parameters of a synthetic scene seen by a rectified stereo rig.
+
+    Every object must stay in front of the rig and come into view at least once.
+    """
 
     objects: tuple
     focal: float = 80.0
@@ -239,70 +254,61 @@ class SceneSpec:
     noise_sigma: float = 2.0
     seed: int = 0
     patch: int = 14
-    toein: float = 0.0      # right-camera convergence half-angle, degrees
     background: float = 96.0
 
+    toein = 0.0  # a class constant, not a field: the right camera is never turned in
+
     def __post_init__(self):
-        if self.baseline <= 0 or self.focal <= 0:
+        if not (self.baseline > 0 and self.focal > 0):
             raise ValueError("baseline and focal must be > 0")
+        for name in ("width", "height"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if not self.noise_sigma >= 0:
+            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
         if self.frames < 2:
             raise ValueError("need at least 2 frames")
-        for obj in self.objects:
-            for t in range(self.frames):
-                if obj.center(t)[2] <= 0:
-                    raise ValueError(f"object depth must stay > 0 (kind {obj.kind})")
+        if not self.objects:
+            raise ValueError("scene needs at least one object")
+        _check_sprite_size("patch", self.patch)
+        for i, obj in enumerate(self.objects):
+            size = obj.params.get("patch", self.patch)
+            _check_sprite_size(f"object {i} patch", size)
+            centers = np.array([obj.center(t) for t in range(self.frames)], dtype=np.float64)
+            if not (centers[:, 2] > 0).all():
+                raise ValueError(f"object depth must stay > 0 (kind {obj.kind})")
+            tl = centers[:, :2] - (size - 1) / 2.0
+            if not ((-size < tl) & (tl < (self.width, self.height))).all(axis=1).any():
+                raise ValueError(f"object {i} ({obj.kind}) never projects inside the image")
+
+
+# canonical form (unit norm, first largest |entry| positive); negated so that
+# its zeros are -0.0 and stored F values of earlier releases stay byte-equal
+_RECTIFIED_F = -np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
 class GroundTruth:
     """Exact geometry of a synthetic scene.
 
-    left_uv / right_uv have shape (frames, n_objects, 2); disparity is
-    focal*baseline/Z with shape (frames, n_objects).  F is the canonical
-    fundamental matrix with p_left^T F p_right = 0.
+    left_uv has shape (frames, n_objects, 2); disparity is focal*baseline/Z
+    with shape (frames, n_objects).  The pair is rectified, so right_uv is
+    left_uv shifted left by the disparity, and F is the rectified pair's
+    fundamental matrix: p_left^T F p_right = (v_left - v_right) / sqrt(2).
     """
 
     left_uv: np.ndarray
-    right_uv: np.ndarray
     disparity: np.ndarray
-    F: np.ndarray
 
+    @property
+    def right_uv(self) -> np.ndarray:
+        uv = self.left_uv.copy()
+        uv[..., 0] -= self.disparity
+        return uv
 
-def canonicalize_fundamental(F: np.ndarray) -> np.ndarray:
-    """Unit Frobenius norm, sign fixed so the first largest-|entry| is positive."""
-    F = np.asarray(F, dtype=np.float64)
-    F = F / np.linalg.norm(F)
-    flat = np.abs(F).ravel()
-    k = int(np.argmax(flat))
-    if F.ravel()[k] < 0:
-        F = -F
-    return F
-
-
-def _rotation_y(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
-def _skew(v: np.ndarray) -> np.ndarray:
-    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
-
-
-def _camera_pair(spec: SceneSpec):
-    """K, right-camera rotation R and translation t (X_r = R X_l + t)."""
-    cx, cy = (spec.width - 1) / 2.0, (spec.height - 1) / 2.0
-    K = np.array([[spec.focal, 0.0, cx], [0.0, spec.focal, cy], [0.0, 0.0, 1.0]])
-    R = _rotation_y(math.radians(spec.toein))
-    C = np.array([spec.baseline, 0.0, 0.0])
-    t = -R @ C
-    return K, R, t
-
-
-def exact_fundamental(spec: SceneSpec) -> np.ndarray:
-    K, R, t = _camera_pair(spec)
-    Kinv = np.linalg.inv(K)
-    F_rl = Kinv.T @ _skew(t) @ R @ Kinv   # p_r^T F_rl p_l = 0
-    return canonicalize_fundamental(F_rl.T)
+    @property
+    def F(self) -> np.ndarray:
+        return _RECTIFIED_F.copy()
 
 
 def _make_texture(size: int, rng: np.random.Generator) -> np.ndarray:
@@ -315,98 +321,49 @@ def _make_texture(size: int, rng: np.random.Generator) -> np.ndarray:
     return np.clip(checker + noise, 0.0, 255.0)
 
 
-def _paint_sprite(img: np.ndarray, tex: np.ndarray, topleft, Hinv: np.ndarray | None):
-    """Draw tex into img; Hinv maps image pixels back to left-image coords."""
+def _paint_sprite(img: np.ndarray, tex: np.ndarray, topleft) -> None:
+    """Draw tex into img with its first texel at `topleft`, bilinearly resampled."""
     h, w = img.shape
     size = tex.shape[0]
     tlx, tly = topleft
-    if Hinv is None:
-        x0, y0 = int(math.floor(tlx)), int(math.floor(tly))
-        x1, y1 = int(math.ceil(tlx)) + size, int(math.ceil(tly)) + size
-    else:
-        corners = np.array([[tlx, tly, 1.0], [tlx + size - 1, tly, 1.0],
-                            [tlx, tly + size - 1, 1.0], [tlx + size - 1, tly + size - 1, 1.0]])
-        H = np.linalg.inv(Hinv)
-        proj = corners @ H.T
-        proj = proj[:, :2] / proj[:, 2:3]
-        x0, y0 = int(math.floor(proj[:, 0].min())) - 1, int(math.floor(proj[:, 1].min())) - 1
-        x1, y1 = int(math.ceil(proj[:, 0].max())) + 2, int(math.ceil(proj[:, 1].max())) + 2
-    x0, y0 = max(x0, 0), max(y0, 0)
-    x1, y1 = min(x1, w), min(y1, h)
+    x0, y0 = max(math.floor(tlx), 0), max(math.floor(tly), 0)
+    x1, y1 = min(math.ceil(tlx) + size, w), min(math.ceil(tly) + size, h)
     if x0 >= x1 or y0 >= y1:
         return
     py, px = np.mgrid[y0:y1, x0:x1]
-    if Hinv is None:
-        lx, ly = px.astype(np.float64), py.astype(np.float64)
-    else:
-        pts = np.stack([px.ravel(), py.ravel(), np.ones(px.size)])
-        back = Hinv @ pts
-        lx = (back[0] / back[2]).reshape(px.shape)
-        ly = (back[1] / back[2]).reshape(px.shape)
-    tx, ty = lx - tlx, ly - tly
+    tx, ty = px - tlx, py - tly
     inside = (tx >= 0) & (tx <= size - 1) & (ty >= 0) & (ty <= size - 1)
-    if not inside.any():
-        return
-    sub = img[y0:y1, x0:x1]
-    sub[inside] = _bilinear(tex, tx[inside], ty[inside])
+    if inside.any():
+        img[y0:y1, x0:x1][inside] = _bilinear(tex, tx[inside], ty[inside])
 
 
 def synth_stereo(spec: SceneSpec, clip_id: str = "scene") -> tuple:
     """Render a stereo clip pair and its ground truth.
 
-    Objects are fronto-parallel textured sprites at their path depth; the
-    right view is drawn through the exact plane-induced homography so all
-    rendered correspondences obey the returned fundamental matrix.
+    Objects are fronto-parallel textured sprites at their path depth.  The
+    rig is rectified, so each view paints a sprite by translation: the right
+    view shifts it left by its disparity focal*baseline/Z.
     """
-    K, R, t = _camera_pair(spec)
-    Kinv = np.linalg.inv(K)
     rng = np.random.default_rng(spec.seed)
-    n_obj = len(spec.objects)
-    if n_obj == 0:
-        raise ValueError("scene needs at least one object")
+    textures = [_make_texture(int(obj.params.get("patch", spec.patch)), rng)
+                for obj in spec.objects]
+    centers = np.array([[obj.center(f) for obj in spec.objects] for f in range(spec.frames)],
+                       dtype=np.float64)
+    left_uv, disparity = centers[..., :2], spec.focal * spec.baseline / centers[..., 2]
 
-    textures, sizes = [], []
-    for obj in spec.objects:
-        size = int(obj.params.get("patch", spec.patch))
-        sizes.append(size)
-        textures.append(_make_texture(size, rng))
-
-    left_uv = np.zeros((spec.frames, n_obj, 2))
-    right_uv = np.zeros((spec.frames, n_obj, 2))
-    disparity = np.zeros((spec.frames, n_obj))
-    seen = [False] * n_obj
     left_frames, right_frames = [], []
-
     for f in range(spec.frames):
         li = np.full((spec.height, spec.width), spec.background, dtype=np.float64)
-        ri = np.full((spec.height, spec.width), spec.background, dtype=np.float64)
-        for i, obj in enumerate(spec.objects):
-            u, v, z = obj.center(f)
-            X = Kinv @ np.array([u, v, 1.0]) * z       # 3D center in left camera
-            qr = K @ (R @ X + t)
-            ur, vr = qr[0] / qr[2], qr[1] / qr[2]
-            left_uv[f, i] = (u, v)
-            right_uv[f, i] = (ur, vr)
-            disparity[f, i] = spec.focal * spec.baseline / z
-            size = sizes[i]
-            tl = (u - (size - 1) / 2.0, v - (size - 1) / 2.0)
-            if (-size < tl[0] < spec.width and -size < tl[1] < spec.height):
-                seen[i] = True
-            _paint_sprite(li, textures[i], tl, None)
-            # plane n=(0,0,1), d=z in left coords induces H = K(R - t n^T/z)K^-1
-            Hplane = K @ (R - np.outer(t, np.array([0.0, 0.0, -1.0 / z]))) @ Kinv
-            _paint_sprite(ri, textures[i], tl, np.linalg.inv(Hplane))
+        ri = li.copy()
+        for tex, (u, v), d in zip(textures, left_uv[f], disparity[f]):
+            half = (tex.shape[0] - 1) / 2.0
+            _paint_sprite(li, tex, (u - half, v - half))
+            _paint_sprite(ri, tex, (u - half - d, v - half))
         li += rng.normal(0.0, spec.noise_sigma, li.shape)
         ri += rng.normal(0.0, spec.noise_sigma, ri.shape)
         left_frames.append(Frame.from_array(np.clip(np.round(li), 0, 255)))
         right_frames.append(Frame.from_array(np.clip(np.round(ri), 0, 255)))
 
-    for i, ok in enumerate(seen):
-        if not ok:
-            raise ValueError(f"object {i} ({spec.objects[i].kind}) never projects inside the image")
-
-    gt = GroundTruth(left_uv=left_uv, right_uv=right_uv, disparity=disparity,
-                     F=exact_fundamental(spec))
     left = Clip(tuple(left_frames), clip_id=clip_id)
     right = Clip(tuple(right_frames), clip_id=clip_id)
-    return left, right, gt
+    return left, right, GroundTruth(left_uv=left_uv, disparity=disparity)

@@ -17,6 +17,7 @@ INIT_VARIANCE = 225.0   # sigma 15 for fresh components
 MIN_VARIANCE = 4.0
 NEW_WEIGHT = 0.05
 BG_RATIO = 0.7          # cumulative weight that counts as background
+PROXIMITY = 10          # blobs whose boxes are this close (px) share a region
 
 
 @dataclass
@@ -155,12 +156,10 @@ def _merge_boxes(boxes, edge):
     return merged
 
 
-def extract_regions(mask: np.ndarray, proximity: int = 10) -> list:
+def extract_regions(mask: np.ndarray) -> list:
     """Bounding boxes of 8-connected foreground blobs, merged when boxes
-    overlap or their gap is within `proximity`, then merged again until the
+    overlap or their gap is within PROXIMITY, then merged again until the
     result is pairwise disjoint.  Sorted by (x, y)."""
-    if proximity < 0:
-        raise ValueError("proximity must be >= 0")
     mask = np.asarray(mask, dtype=bool)
     labels, n = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
     if n == 0:
@@ -170,7 +169,7 @@ def extract_regions(mask: np.ndarray, proximity: int = 10) -> list:
         boxes.append((sl[1].start, sl[0].start,
                       sl[1].stop - sl[1].start, sl[0].stop - sl[0].start))
 
-    merged = _merge_boxes(boxes, lambda a, b: _boxes_overlap(a, b) or _box_gap(a, b) <= proximity)
+    merged = _merge_boxes(boxes, lambda a, b: _boxes_overlap(a, b) or _box_gap(a, b) <= PROXIMITY)
     # union boxes may newly overlap; keep merging so every pixel gets one box
     while True:
         again = _merge_boxes(merged, _boxes_overlap)

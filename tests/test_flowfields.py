@@ -217,6 +217,14 @@ class TestLkTrack:
         assert res[0].reason == "outside"
         assert res[0].point[0] > w - 2 - 7
 
+    @pytest.mark.parametrize("shape", [(1, 20), (20, 1), (1, 1)])
+    def test_frame_smaller_than_any_window_loses_every_point(self, shape):
+        img = np.zeros(shape)
+        pts = [(0.0, 0.0), (shape[1] - 1.0, shape[0] - 1.0)]
+        res = lk_track(img, img, pts, levels=2, window=5)
+        assert [(r.point, r.status, r.reason) for r in res] == [(p, "lost", "outside")
+                                                                for p in pts]
+
     def test_flat_region_is_lost(self):
         img = np.full((64, 64), 100.0)
         img[10:20, 10:20] = 200.0  # some structure elsewhere

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trailblaze import keypoints
 from trailblaze.keypoints import CIRCLE, describe_patch, detect_fast, match_reciprocal
 from trailblaze.media import Frame, _gray, to_grayscale
 
@@ -225,6 +226,13 @@ def match_reciprocal_oracle(a, b, ratio: float = 0.8) -> list:
     return pairs
 
 
+def match_with_ratio(a, b, ratio):
+    """match_reciprocal with MATCH_RATIO set to `ratio` for this one call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(keypoints, "MATCH_RATIO", ratio)
+        return match_reciprocal(a, b)
+
+
 class TestMatchReciprocal:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.integers(1, 40),
@@ -238,7 +246,7 @@ class TestMatchReciprocal:
         a[rng.integers(na, size=na // 3)] = a[rng.integers(na, size=na // 3)]
         b[rng.integers(nb, size=nb // 3)] = b[rng.integers(nb, size=nb // 3)]
         b[: min(na, nb) // 4] = a[: min(na, nb) // 4]
-        got = match_reciprocal(a, b, ratio)
+        got = match_with_ratio(a, b, ratio)
         assert got == match_reciprocal_oracle(a, b, ratio)
         assert all(type(i) is int and type(j) is int for i, j in got)
 
@@ -249,17 +257,17 @@ class TestMatchReciprocal:
     def test_identity_pairing(self):
         rng = np.random.default_rng(9)
         a = rng.uniform(0, 1, (5, 8))
-        assert match_reciprocal(a, a.copy(), 0.8) == [(i, i) for i in range(5)]
+        assert match_reciprocal(a, a.copy()) == [(i, i) for i in range(5)]
 
     def test_empty_input(self):
-        assert match_reciprocal([], np.ones((3, 4)), 0.8) == []
-        assert match_reciprocal(np.ones((3, 4)), [], 0.8) == []
+        assert match_reciprocal([], np.ones((3, 4))) == []
+        assert match_reciprocal(np.ones((3, 4)), []) == []
 
     def test_non_reciprocal_excluded(self):
         # a0's best in b is b0, but b0's best in a is a1
         a = np.array([[0.0, 0.0], [0.9, 0.0], [5.0, 5.0]])
         b = np.array([[1.0, 0.0], [6.0, 5.0]])
-        got = match_reciprocal(a, b, ratio=0.99)
+        got = match_with_ratio(a, b, 0.99)
         assert got == brute_force_pairs(a, b, 0.99)
         assert (0, 0) not in got
 
@@ -269,7 +277,7 @@ class TestMatchReciprocal:
         rng = np.random.default_rng(seed)
         a = rng.uniform(0, 1, (na, 4))
         b = rng.uniform(0, 1, (nb, 4))
-        assert match_reciprocal(a, b, 0.8) == brute_force_pairs(a, b, 0.8)
+        assert match_reciprocal(a, b) == brute_force_pairs(a, b, keypoints.MATCH_RATIO)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
@@ -277,8 +285,8 @@ class TestMatchReciprocal:
         rng = np.random.default_rng(seed)
         a = rng.uniform(0, 1, (7, 5))
         b = rng.uniform(0, 1, (9, 5))
-        ab = match_reciprocal(a, b, 0.8)
-        ba = match_reciprocal(b, a, 0.8)
+        ab = match_reciprocal(a, b)
+        ba = match_reciprocal(b, a)
         assert sorted((j, i) for i, j in ab) == sorted(ba)
 
     def test_matched_distance_minimal_in_both_rows(self):
@@ -286,11 +294,11 @@ class TestMatchReciprocal:
         a = rng.uniform(0, 1, (10, 6))
         b = rng.uniform(0, 1, (12, 6))
         d = np.sqrt(((a[:, None] - b[None]) ** 2).sum(-1))
-        for i, j in match_reciprocal(a, b, 0.8):
+        for i, j in match_reciprocal(a, b):
             assert d[i, j] == d[i].min()
             assert d[i, j] == d[:, j].min()
 
     def test_singleton_skips_ratio(self):
         a = np.array([[0.0, 0.0]])
         b = np.array([[0.5, 0.0]])
-        assert match_reciprocal(a, b, 0.5) == [(0, 0)]
+        assert match_with_ratio(a, b, 0.5) == [(0, 0)]

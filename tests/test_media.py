@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -53,6 +55,31 @@ class TestFrame:
     def test_from_array_other_shape_rejected_with_shape(self, shape):
         with pytest.raises(ValueError, match=re.escape(str(shape))):
             Frame.from_array(np.zeros(shape, dtype=np.uint8))
+
+    @pytest.mark.parametrize("shape", [(4, 5, 1), (4, 5, 4), (5,), (2, 3, 3, 1)])
+    def test_other_shape_rejected_with_shape(self, shape):
+        with pytest.raises(ValueError, match=r"\(h, w\) or \(h, w, 3\).*" + re.escape(str(shape))):
+            Frame(np.zeros(shape, dtype=np.uint8))
+
+    @pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0, 0, 3)])
+    def test_empty_side_rejected_with_shape(self, shape):
+        with pytest.raises(ValueError, match=r">= 1.*" + re.escape(str(shape))):
+            Frame(np.zeros(shape, dtype=np.uint8))
+
+    def test_non_uint8_rejected_with_shape(self):
+        with pytest.raises(ValueError, match=r"uint8.*\(4, 5\)"):
+            Frame(np.zeros((4, 5)))
+
+    @pytest.mark.parametrize("shape, channels", [((4, 5), 1), ((4, 5, 3), 3)])
+    def test_sizes_come_from_data(self, shape, channels):
+        f = Frame(np.zeros(shape, dtype=np.uint8))
+        assert [field.name for field in dataclasses.fields(f)] == ["data"]
+        assert (f.width, f.height, f.channels) == (5, 4, channels)
+
+    def test_clip_frames_must_share_shape(self):
+        gray = Frame(np.zeros((4, 5), dtype=np.uint8))
+        with pytest.raises(ValueError, match="share"):
+            Clip((gray, Frame(np.zeros((4, 5, 3), dtype=np.uint8))))
 
 
 class TestGray:
@@ -201,20 +228,19 @@ class TestSynthStereo:
             assert np.array_equal(a.data, b.data)
 
     def test_object_never_visible_errors(self):
-        spec = simple_spec(objects=(ObjectPath("line", {"u0": 500.0, "v0": 500.0, "z0": 3.0}),))
         with pytest.raises(ValueError, match="never projects"):
-            synth_stereo(spec)
+            simple_spec(objects=(ObjectPath("line", {"u0": 500.0, "v0": 500.0, "z0": 3.0}),))
 
-    def test_exact_fundamental_annihilates_projections(self):
-        spec = simple_spec(
-            objects=(ObjectPath("line", {"u0": 20.0, "v0": 18.0, "du": 1.0, "dv": 0.5,
-                                         "z0": 2.0, "dz": 0.3}),),
-            toein=2.0)
+    def test_ground_truth_stores_each_fact_once(self):
+        spec = simple_spec(objects=(
+            ObjectPath("line", {"u0": 20.0, "v0": 18.0, "du": 1.0, "dv": 0.5, "z0": 2.0,
+                                "dz": 0.3}),))
         _, _, gt = synth_stereo(spec)
-        for t in range(spec.frames):
-            p = np.array([*gt.left_uv[t, 0], 1.0])
-            q = np.array([*gt.right_uv[t, 0], 1.0])
-            assert abs(p @ gt.F @ q) < 1e-6
+        assert [f.name for f in dataclasses.fields(gt)] == ["left_uv", "disparity"]
+        assert np.array_equal(gt.right_uv[..., 0], gt.left_uv[..., 0] - gt.disparity)
+        assert np.array_equal(gt.right_uv[..., 1], gt.left_uv[..., 1])
+        s = 1.0 / math.sqrt(2.0)
+        assert np.array_equal(gt.F, [[0.0, 0.0, 0.0], [0.0, 0.0, s], [0.0, -s, 0.0]])
 
     def test_parallel_cameras_share_rows(self):
         spec = simple_spec()
@@ -226,6 +252,50 @@ class TestSynthStereo:
             simple_spec(objects=(ObjectPath("line", {"u0": 20.0, "v0": 20.0, "z0": 1.0,
                                                      "dz": -0.5}),))
 
+
+class TestSceneSpec:
+    def test_toein_is_a_constant_not_an_argument(self):
+        assert simple_spec().toein == 0.0
+        with pytest.raises(TypeError, match="toein"):
+            simple_spec(toein=1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("width", 0), ("height", 0), ("width", -3), ("noise_sigma", -1.0),
+        ("noise_sigma", float("nan")), ("patch", 0), ("patch", 1.5), ("patch", -2),
+    ])
+    def test_bad_value_names_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            simple_spec(**{field: value})
+
+    @pytest.mark.parametrize("kw", [dict(focal=float("nan")), dict(baseline=float("nan")),
+                                    dict(focal=0.0)])
+    def test_bad_rig_rejected(self, kw):
+        with pytest.raises(ValueError, match="baseline and focal"):
+            simple_spec(**kw)
+
+    def test_nan_depth_rejected(self):
+        with pytest.raises(ValueError, match="depth"):
+            simple_spec(objects=(ObjectPath("line", {"u0": 20.0, "v0": 20.0,
+                                                     "z0": float("nan")}),))
+
+    def test_scene_without_objects_rejected(self):
+        with pytest.raises(ValueError, match="at least one object"):
+            simple_spec(objects=())
+
+    @pytest.mark.parametrize("size", [0, 1.5, -4, float("nan"), "16"])
+    def test_bad_object_patch_names_object(self, size):
+        obj = ObjectPath("line", {"u0": 20.0, "v0": 24.0, "patch": size})
+        with pytest.raises(ValueError, match="^object 0 patch must be"):
+            simple_spec(objects=(obj,))
+
+    def test_integral_patch_values_accepted(self):
+        objects = (ObjectPath("line", {"u0": 20.0, "v0": 24.0, "patch": 9.0}),
+                   ObjectPath("line", {"u0": 40.0, "v0": 24.0}))
+        left, _, _ = synth_stereo(simple_spec(objects=objects, patch=np.int64(5),
+                                              background=0.0))
+        painted = left.frames[0].data > 0
+        assert painted[20:29, 16:25].all() and painted[22:27, 38:43].all()
+        assert painted.sum() == 9 * 9 + 5 * 5
 
 
 class TestObjectPath:
@@ -286,9 +356,9 @@ def moving_object(draw):
 
 class TestGroundTruthProperties:
     @settings(max_examples=30, deadline=None)
-    @given(moving_object(), st.floats(-3.0, 3.0))
-    def test_projections_satisfy_epipolar_constraint(self, obj, toein):
-        spec = simple_spec(objects=(obj,), focal=80.0, toein=toein)
+    @given(moving_object())
+    def test_projections_satisfy_epipolar_constraint(self, obj):
+        spec = simple_spec(objects=(obj,), focal=80.0)
         _, _, gt = synth_stereo(spec)
         pl = np.concatenate([gt.left_uv[:, 0], np.ones((spec.frames, 1))], axis=1)
         pr = np.concatenate([gt.right_uv[:, 0], np.ones((spec.frames, 1))], axis=1)
@@ -304,3 +374,86 @@ class TestGroundTruthProperties:
         assert np.allclose(gt.left_uv[:, 0, 0] - gt.right_uv[:, 0, 0], fb_over_z,
                            rtol=0, atol=1e-9)
         assert np.allclose(gt.disparity[:, 0], fb_over_z, rtol=1e-12, atol=0)
+
+
+def paint_sprite_oracle(img: np.ndarray, tex: np.ndarray, topleft, Hinv: np.ndarray | None):
+    """The painter synth_stereo used while it modelled a toed-in right camera,
+    kept verbatim: Hinv maps image pixels back to left-image coords."""
+    h, w = img.shape
+    size = tex.shape[0]
+    tlx, tly = topleft
+    if Hinv is None:
+        x0, y0 = int(math.floor(tlx)), int(math.floor(tly))
+        x1, y1 = int(math.ceil(tlx)) + size, int(math.ceil(tly)) + size
+    else:
+        corners = np.array([[tlx, tly, 1.0], [tlx + size - 1, tly, 1.0],
+                            [tlx, tly + size - 1, 1.0], [tlx + size - 1, tly + size - 1, 1.0]])
+        H = np.linalg.inv(Hinv)
+        proj = corners @ H.T
+        proj = proj[:, :2] / proj[:, 2:3]
+        x0, y0 = int(math.floor(proj[:, 0].min())) - 1, int(math.floor(proj[:, 1].min())) - 1
+        x1, y1 = int(math.ceil(proj[:, 0].max())) + 2, int(math.ceil(proj[:, 1].max())) + 2
+    x0, y0 = max(x0, 0), max(y0, 0)
+    x1, y1 = min(x1, w), min(y1, h)
+    if x0 >= x1 or y0 >= y1:
+        return
+    py, px = np.mgrid[y0:y1, x0:x1]
+    if Hinv is None:
+        lx, ly = px.astype(np.float64), py.astype(np.float64)
+    else:
+        pts = np.stack([px.ravel(), py.ravel(), np.ones(px.size)])
+        back = Hinv @ pts
+        lx = (back[0] / back[2]).reshape(px.shape)
+        ly = (back[1] / back[2]).reshape(px.shape)
+    tx, ty = lx - tlx, ly - tly
+    inside = (tx >= 0) & (tx <= size - 1) & (ty >= 0) & (ty <= size - 1)
+    if not inside.any():
+        return
+    sub = img[y0:y1, x0:x1]
+    sub[inside] = media._bilinear(tex, tx[inside], ty[inside])
+
+
+def right_view_homography_oracle(focal, baseline, width, height, z):
+    """Inverse of the plane-induced homography K(R - t n^T / z)K^-1 that drew
+    the right view of a fronto-parallel sprite at depth z, for the parallel
+    rig: R = rotation about y by 0, t = -R (baseline, 0, 0)."""
+    cx, cy = (width - 1) / 2.0, (height - 1) / 2.0
+    K = np.array([[focal, 0.0, cx], [0.0, focal, cy], [0.0, 0.0, 1.0]])
+    c, s = math.cos(0.0), math.sin(0.0)
+    R = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    t = -R @ np.array([baseline, 0.0, 0.0])
+    Kinv = np.linalg.inv(K)
+    Hplane = K @ (R - np.outer(t, np.array([0.0, 0.0, -1.0 / z]))) @ Kinv
+    return np.linalg.inv(Hplane)
+
+
+# quarter-pixel corners and round depths put sprite edges on pixel centres,
+# where the two painters' round-off can disagree
+coord = st.one_of(st.floats(-20.0, 70.0), st.integers(-80, 280).map(lambda k: k / 4.0))
+depth = st.one_of(st.floats(0.5, 20.0), st.sampled_from([1.5, 2.0, 2.4, 3.0, 4.0, 6.0]))
+focal = st.one_of(st.floats(10.0, 200.0), st.sampled_from([64.0, 80.0, 100.0]))
+baseline = st.one_of(st.floats(0.05, 1.0), st.sampled_from([0.25, 0.3, 0.5]))
+
+
+def on_sprite_edge(exact: Fraction, size: int) -> bool:
+    return min(abs(exact), abs(exact - (size - 1))) <= 1e-9
+
+
+class TestRightViewPainter:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 18), coord, coord, depth, focal, baseline, st.integers(0, 2 ** 32 - 1))
+    def test_translation_matches_homography_oracle(self, size, tlx, tly, z, f, b, seed):
+        w, h = 64, 48
+        tex = np.random.default_rng(seed).uniform(0.0, 255.0, (size, size))
+        want = np.full((h, w), np.nan)
+        got = want.copy()
+        paint_sprite_oracle(want, tex, (tlx, tly), right_view_homography_oracle(f, b, w, h, z))
+        media._paint_sprite(got, tex, (tlx - f * b / z, tly))
+        both = ~np.isnan(want) & ~np.isnan(got)
+        assert np.abs(want[both] - got[both]).max(initial=0.0) <= 1e-9
+        # a pixel only one painter covers sits on the sprite edge in exact arithmetic
+        d = Fraction(f) * Fraction(b) / Fraction(z)
+        for y, x in zip(*np.nonzero(np.isnan(want) != np.isnan(got))):
+            tx = int(x) - Fraction(tlx) + d
+            ty = int(y) - Fraction(tly)
+            assert on_sprite_edge(tx, size) or on_sprite_edge(ty, size), (x, y, float(tx), float(ty))

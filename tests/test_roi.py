@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trailblaze import roi
 from trailblaze.roi import BackgroundModel, Roi, extract_regions, update_and_subtract
 
 
@@ -87,15 +88,22 @@ def put_blob(mask, x, y, w, h):
     mask[y:y + h, x:x + w] = True
 
 
+def regions_within(mask, proximity):
+    """extract_regions with PROXIMITY set to `proximity` for this one call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(roi, "PROXIMITY", proximity)
+        return extract_regions(mask)
+
+
 class TestExtractRegions:
     def test_empty_mask(self):
-        assert extract_regions(np.zeros((10, 10), dtype=bool), 5) == []
+        assert extract_regions(np.zeros((10, 10), dtype=bool)) == []
 
     def test_overlapping_union(self):
         mask = np.zeros((30, 30), dtype=bool)
         put_blob(mask, 0, 0, 10, 10)
         put_blob(mask, 5, 5, 10, 10)
-        assert extract_regions(mask, 0) == [Roi(0, 0, 15, 15)]
+        assert regions_within(mask, 0) == [Roi(0, 0, 15, 15)]
 
     def test_chain_merges_transitively(self):
         # A near B, B near C, A far from C -> single covering box
@@ -106,14 +114,14 @@ class TestExtractRegions:
         boxes = [(0, 0, 8, 8), (12, 0, 8, 8), (24, 0, 8, 8)]
         expected = union_find_oracle(boxes, 5)
         assert expected == [(0, 0, 32, 8)]
-        got = extract_regions(mask, 5)
+        got = regions_within(mask, 5)
         assert [(r.x, r.y, r.w, r.h) for r in got] == expected
 
     def test_far_blobs_stay_separate(self):
         mask = np.zeros((40, 40), dtype=bool)
         put_blob(mask, 0, 0, 5, 5)
         put_blob(mask, 30, 30, 5, 5)
-        got = extract_regions(mask, 3)
+        got = regions_within(mask, 3)
         assert len(got) == 2
 
     @settings(max_examples=40, deadline=None)
@@ -139,7 +147,7 @@ class TestExtractRegions:
             if again == expected:
                 break
             expected = again
-        got = [(r.x, r.y, r.w, r.h) for r in extract_regions(mask, proximity)]
+        got = [(r.x, r.y, r.w, r.h) for r in regions_within(mask, proximity)]
         assert got == expected
 
     @settings(max_examples=30, deadline=None)
@@ -147,7 +155,7 @@ class TestExtractRegions:
     def test_partition_invariant(self, seed):
         rng = np.random.default_rng(seed)
         mask = rng.uniform(0, 1, (30, 30)) < 0.08
-        rois = extract_regions(mask, 4)
+        rois = regions_within(mask, 4)
         ys, xs = np.nonzero(mask)
         for x, y in zip(xs, ys):
             containing = [r for r in rois if r.x <= x < r.x + r.w and r.y <= y < r.y + r.h]
