@@ -5,11 +5,21 @@ so all frames of a clip share one scale.  Borders replicate the edge; a
 pyramid of n levels is the full image plus up to n - 1 halvings (5x5 binomial
 antialiasing).
 Lucas-Kanade solves all points together, per pyramid level and per
-iteration, each point with its own convergence test.
+iteration, each point with its own convergence test, and gathers its
+gradients and template with one stacked `_bilinear` call per level.
+
+Farneback expands each frame's pyramid levels into (5, h, w) coefficient
+stacks; each refinement warps the five coefficients of the second frame with
+one stacked `_bilinear` call.  The expansions of the last FB_MEMO_FRAMES
+frames are memoised by exact content, so a frame that is `next` of one call
+and `prev` of the following one (or of a left-to-right call) is expanded once.
 """
 
 from __future__ import annotations
 
+import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +38,9 @@ FB_WINDOW = 15            # side of the box that averages the flow equations
 FB_ITERATIONS = 3         # refinements per pyramid level
 FB_POLY_N = 7             # side of the polynomial-expansion neighbourhood
 FB_POLY_SIGMA = 1.5       # its Gaussian applicability
+# frames whose expansions are memoised: two suffice for the dense tracker's
+# order, left t-1 -> t and then left t -> right t
+FB_MEMO_FRAMES = 2
 
 
 @dataclass(frozen=True)
@@ -125,7 +138,7 @@ def lk_track(prev, next, points, levels: int = 3, window: int = 15) -> list:
 
     pyr0 = _pyramid(img0, levels, window + 2)
     pyr1 = _pyramid(img1, levels, window + 2)
-    grads = [_gradients(im) for im in pyr0]
+    stacks = [np.stack(_gradients(im) + (im,)) for im in pyr0]  # Ix, Iy, I0 per level
     off = np.arange(-half, half + 1, dtype=np.float64)
     oy, ox = np.meshgrid(off, off, indexing="ij")
     min_eig_thresh = LK_MIN_EIG_FACTOR * window * window
@@ -136,9 +149,7 @@ def lk_track(prev, next, points, levels: int = 3, window: int = 15) -> list:
         scale = 2.0 ** lvl
         sx = (pts[live, 0] / scale)[:, None, None] + ox
         sy = (pts[live, 1] / scale)[:, None, None] + oy
-        gx, gy = grads[lvl]
-        Ix = _bilinear(gx, sx, sy)
-        Iy = _bilinear(gy, sx, sy)
+        Ix, Iy, I0 = _bilinear(stacks[lvl], sx, sy)
         gxx = (Ix * Ix).sum(axis=(1, 2))
         gxy = (Ix * Iy).sum(axis=(1, 2))
         gyy = (Iy * Iy).sum(axis=(1, 2))
@@ -153,9 +164,8 @@ def lk_track(prev, next, points, levels: int = 3, window: int = 15) -> list:
             g[live[fail]] *= 2.0  # singular coarse level: skip it
         ok = ~fail
         solve = live[ok]
-        sx, sy, Ix, Iy = sx[ok], sy[ok], Ix[ok], Iy[ok]
+        sx, sy, Ix, Iy, I0 = sx[ok], sy[ok], Ix[ok], Iy[ok], I0[ok]
         i00, i01, i11 = gyy[ok] / det[ok], -gxy[ok] / det[ok], gxx[ok] / det[ok]
-        I0 = _bilinear(pyr0[lvl], sx, sy)
         gl = g[solve]
         nu = np.zeros_like(gl)
         act = np.arange(len(solve))  # points still iterating at this level
@@ -186,12 +196,9 @@ def lk_track(prev, next, points, levels: int = 3, window: int = 15) -> list:
 # Farneback polynomial-expansion flow
 
 
-def _poly_expand(img: np.ndarray, n: int, sigma: float):
-    """Per-pixel quadratic fit f ~ c + b.x + x'Ax under Gaussian applicability.
-
-    Returns (A11, A12, A22, b1, b2) image stacks; coordinates are (x, y)
-    with x along columns.
-    """
+def _poly_basis(n: int, sigma: float):
+    """1-D applicability kernels (g, x·g, x²·g) and the inverse metric of the
+    basis (1, x, y, x², y², xy) under the separable Gaussian weight."""
     half = n // 2
     xs = np.arange(-half, half + 1, dtype=np.float64)
     g = np.exp(-(xs ** 2) / (2.0 * sigma ** 2))
@@ -201,7 +208,6 @@ def _poly_expand(img: np.ndarray, n: int, sigma: float):
 
     m2 = float(np.sum(x2g))
     m4 = float(np.sum(xs ** 4 * g))
-    # metric of basis (1, x, y, x^2, y^2, xy) under separable Gaussian weight
     G = np.array([
         [1.0, 0.0, 0.0, m2, m2, 0.0],
         [0.0, m2, 0.0, 0.0, 0.0, 0.0],
@@ -210,36 +216,76 @@ def _poly_expand(img: np.ndarray, n: int, sigma: float):
         [m2, 0.0, 0.0, m2 * m2, m4, 0.0],
         [0.0, 0.0, 0.0, 0.0, 0.0, m2 * m2],
     ])
-    Ginv = np.linalg.inv(G)
+    return (g, xg, x2g), np.linalg.inv(G)
 
-    def corr(kernel_y, kernel_x):
-        out = ndimage.correlate1d(img, kernel_y, axis=0, mode="nearest")
-        return ndimage.correlate1d(out, kernel_x, axis=1, mode="nearest")
+
+_POLY_KERNELS, _POLY_GINV = _poly_basis(FB_POLY_N, FB_POLY_SIGMA)
+_EXPANSIONS: OrderedDict = OrderedDict()  # (shape, bytes) of a 0-1 frame -> per-level stacks
+_EXPANSIONS_LOCK = threading.Lock()
+
+
+def _poly_expand(img: np.ndarray) -> np.ndarray:
+    """Per-pixel quadratic fit f ~ c + b.x + x'Ax under Gaussian applicability.
+
+    Returns the (5, h, w) stack (A11, A12, A22, b1, b2); coordinates are
+    (x, y) with x along columns.
+    """
+    g, xg, x2g = _POLY_KERNELS
+    by_g, by_xg, by_x2g = (ndimage.correlate1d(img, k, axis=0, mode="nearest")
+                           for k in _POLY_KERNELS)
+
+    def across(rows, kernel_x):
+        return ndimage.correlate1d(rows, kernel_x, axis=1, mode="nearest")
 
     v = np.stack([
-        corr(g, g),     # <1, f>
-        corr(g, xg),    # <x, f>
-        corr(xg, g),    # <y, f>
-        corr(g, x2g),   # <x^2, f>
-        corr(x2g, g),   # <y^2, f>
-        corr(xg, xg),   # <xy, f>
+        across(by_g, g),     # <1, f>
+        across(by_g, xg),    # <x, f>
+        across(by_xg, g),    # <y, f>
+        across(by_g, x2g),   # <x^2, f>
+        across(by_x2g, g),   # <y^2, f>
+        across(by_xg, xg),   # <xy, f>
     ])
-    r = np.einsum("ij,jhw->ihw", Ginv, v)
-    b1, b2 = r[1], r[2]
-    A11, A22, A12 = r[3], r[4], r[5] / 2.0
-    return A11, A12, A22, b1, b2
+    r = np.einsum("ij,jhw->ihw", _POLY_GINV, v)
+    out = r[[3, 5, 4, 1, 2]]
+    out[1] /= 2.0
+    return out
 
 
-def _solve_flow(A11, A12, A22, b1, b2, window: int):
+def _expansions(img: np.ndarray) -> tuple:
+    """Read-only `_poly_expand` stacks of each pyramid level of a 0-1 frame.
+
+    The last FB_MEMO_FRAMES frames are memoised, least recently used out.
+    The key holds the frame's shape and bytes, and the dict compares the
+    bytes, so a frame changed in place is expanded afresh.
+    """
+    key = (img.shape, img.tobytes())
+    with _EXPANSIONS_LOCK:
+        hit = _EXPANSIONS.get(key)
+        if hit is not None:
+            _EXPANSIONS.move_to_end(key)
+            return hit
+    levels = tuple(_poly_expand(p) for p in _pyramid(img, FB_LEVELS, FB_POLY_N + 2))
+    for e in levels:
+        e.flags.writeable = False
+    with _EXPANSIONS_LOCK:
+        _EXPANSIONS[key] = levels
+        _EXPANSIONS.move_to_end(key)
+        while len(_EXPANSIONS) > FB_MEMO_FRAMES:
+            _EXPANSIONS.popitem(last=False)
+    return levels
+
+
+def _solve_flow(A11, A12, A22, b1, b2):
     """Window-averaged least squares of A d = delta_b."""
-    t11 = A11 * A11 + A12 * A12
-    t12 = A12 * (A11 + A22)
-    t22 = A12 * A12 + A22 * A22
-    h1 = A11 * b1 + A12 * b2
-    h2 = A12 * b1 + A22 * b2
-    box = lambda im: ndimage.uniform_filter(im, size=window, mode="nearest")
-    G11, G12, G22 = box(t11), box(t12), box(t22)
-    H1, H2 = box(h1), box(h2)
+    products = np.stack([
+        A11 * A11 + A12 * A12,
+        A12 * (A11 + A22),
+        A12 * A12 + A22 * A22,
+        A11 * b1 + A12 * b2,
+        A12 * b1 + A22 * b2,
+    ])
+    G11, G12, G22, H1, H2 = ndimage.uniform_filter(products, size=(1, FB_WINDOW, FB_WINDOW),
+                                                   mode="nearest")
     det = G11 * G22 - G12 * G12
     det = np.where(np.abs(det) < 1e-12, 1e-12, det)
     u = (G22 * H1 - G12 * H2) / det
@@ -259,42 +305,50 @@ def farneback_flow(prev, next) -> FlowField:
     if img0.shape != img1.shape:
         raise ValueError("frames must share dimensions")
 
-    pyr0 = _pyramid(img0, FB_LEVELS, FB_POLY_N + 2)
-    pyr1 = _pyramid(img1, FB_LEVELS, FB_POLY_N + 2)
-    u = np.zeros_like(pyr0[-1])
-    v = np.zeros_like(pyr0[-1])
+    exp0 = _expansions(img0)
+    exp1 = _expansions(img1)
+    u = np.zeros(exp0[-1].shape[1:])
+    v = np.zeros(exp0[-1].shape[1:])
 
-    for lvl in range(len(pyr0) - 1, -1, -1):
-        p0, p1 = pyr0[lvl], pyr1[lvl]
-        h, w = p0.shape
-        if u.shape != p0.shape:
+    for lvl in range(len(exp0) - 1, -1, -1):
+        A11a, A12a, A22a, b1a, b2a = exp0[lvl]
+        h, w = A11a.shape
+        if u.shape != (h, w):
             u = np.repeat(np.repeat(u, 2, axis=0), 2, axis=1)[:h, :w] * 2.0
             v = np.repeat(np.repeat(v, 2, axis=0), 2, axis=1)[:h, :w] * 2.0
-        A11a, A12a, A22a, b1a, b2a = _poly_expand(p0, FB_POLY_N, FB_POLY_SIGMA)
-        A11b, A12b, A22b, b1b, b2b = _poly_expand(p1, FB_POLY_N, FB_POLY_SIGMA)
         yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
         for _ in range(FB_ITERATIONS):
-            sx = xx + u
-            sy = yy + v
-            wA11 = _bilinear(A11b, sx, sy)
-            wA12 = _bilinear(A12b, sx, sy)
-            wA22 = _bilinear(A22b, sx, sy)
-            wb1 = _bilinear(b1b, sx, sy)
-            wb2 = _bilinear(b2b, sx, sy)
+            wA11, wA12, wA22, wb1, wb2 = _bilinear(exp1[lvl], xx + u, yy + v)
             A11 = 0.5 * (A11a + wA11)
             A12 = 0.5 * (A12a + wA12)
             A22 = 0.5 * (A22a + wA22)
             db1 = -0.5 * (wb1 - b1a) + A11 * u + A12 * v
             db2 = -0.5 * (wb2 - b2a) + A12 * u + A22 * v
-            u, v = _solve_flow(A11, A12, A22, db1, db2, FB_WINDOW)
+            u, v = _solve_flow(A11, A12, A22, db1, db2)
     return FlowField(u=u, v=v)
 
 
 def sample_flow(field: FlowField, p) -> tuple:
-    """Bilinearly interpolated displacement at subpixel point p = (x, y)."""
+    """Bilinearly interpolated displacement at subpixel point p = (x, y).
+
+    Computed in Python floats with `_bilinear`'s corners, weights and order
+    of operations, so it returns the same values without numpy's per-call cost.
+    """
     x, y = float(p[0]), float(p[1])
-    if not (0.0 <= x <= field.width - 1 and 0.0 <= y <= field.height - 1):
+    h, w = field.u.shape
+    if not (0.0 <= x <= w - 1 and 0.0 <= y <= h - 1):
         raise ValueError(f"point {p} outside flow field bounds")
-    xs = np.array([x])
-    ys = np.array([y])
-    return (float(_bilinear(field.u, xs, ys)[0]), float(_bilinear(field.v, xs, ys)[0]))
+    x0 = min(math.floor(x), max(w - 2, 0))
+    y0 = min(math.floor(y), max(h - 2, 0))
+    x1 = x0 + (w > 1)
+    y1 = y0 + (h > 1)
+    fx = x - x0
+    fy = y - y0
+    gx = 1 - fx
+    gy = 1 - fy
+
+    def at(img):
+        return (img.item(y0, x0) * gx * gy + img.item(y0, x1) * fx * gy
+                + img.item(y1, x0) * gx * fy + img.item(y1, x1) * fx * fy)
+
+    return (at(field.u), at(field.v))

@@ -2,7 +2,8 @@
 
 Images are Frames (color ones converted to grayscale) or 2-D arrays in 0-255
 units.  The descriptor histogram is one ``bincount`` over the patch, and the
-matcher runs its ratio test on whole rows and columns at once.
+matcher runs its ratio test on whole rows and columns at once, after
+computing the distances in row blocks of bounded size.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ CIRCLE = [(0, -3), (1, -3), (2, -2), (3, -1), (3, 0), (3, 1), (2, 2), (1, 3),
 DESCRIPTOR_DIM = 128  # 4x4 cells x 8 orientation bins
 FAST_ARC = 9          # contiguous circle pixels that make a corner
 MATCH_RATIO = 0.8     # Lowe's ratio test: best distance < MATCH_RATIO * second best
+MATCH_CHUNK_BYTES = 8 << 20  # cap on the (rows, nb, D) difference block of the matcher
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,17 @@ def match_reciprocal(a, b) -> list:
         return []
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"descriptor widths differ: a is {A.shape}, b is {B.shape}")
-    d2 = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+    # squared distances a block of rows at a time, so the difference array
+    # stays under MATCH_CHUNK_BYTES whatever the set sizes
+    d2 = np.empty((A.shape[0], B.shape[0]))
+    step = min(A.shape[0], max(1, MATCH_CHUNK_BYTES // (B.shape[0] * B.shape[1] * 8)))
+    diff = np.empty((step,) + B.shape)
+    for i in range(0, A.shape[0], step):
+        rows = A[i:i + step]
+        block = diff[:len(rows)]
+        np.subtract(rows[:, None, :], B, out=block)
+        np.square(block, out=block)
+        d2[i:i + step] = block.sum(axis=2)
     d = np.sqrt(np.maximum(d2, 0.0))
 
     rows = np.arange(A.shape[0])

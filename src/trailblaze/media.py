@@ -98,18 +98,39 @@ def _gray(image) -> np.ndarray:
 
 
 def _bilinear(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Replicate-edge bilinear sampling of `img` at float coordinates."""
-    h, w = img.shape
+    """Replicate-edge bilinear sampling of `img` at float coordinates.
+
+    `img` is one image (h, w) or a stack (c, h, w) whose images share the
+    coordinates; the result has shape xs.shape or (c,) + xs.shape.  Clipping,
+    corner indices and weights are computed once for the whole stack, and
+    each value is v00·(1−fx)·(1−fy) + v01·fx·(1−fy) + v10·(1−fx)·fy +
+    v11·fx·fy, summed in that order.
+    """
+    h, w = img.shape[-2:]
     xs = np.clip(xs, 0.0, w - 1.0)
     ys = np.clip(ys, 0.0, h - 1.0)
     x0 = np.minimum(np.floor(xs).astype(int), max(w - 2, 0))
     y0 = np.minimum(np.floor(ys).astype(int), max(h - 2, 0))
-    x1 = x0 + (w > 1)
-    y1 = y0 + (h > 1)
     fx = xs - x0
     fy = ys - y0
-    return (img[y0, x0] * (1 - fx) * (1 - fy) + img[y0, x1] * fx * (1 - fy)
-            + img[y1, x0] * (1 - fx) * fy + img[y1, x1] * fx * fy)
+    gx = 1 - fx
+    gy = 1 - fy
+    i00 = y0 * w + x0
+    i10 = i00 + w * (h > 1)
+    flat = img.reshape(img.shape[:-2] + (h * w,))
+    dx = int(w > 1)
+
+    def corner(idx, wx, wy):
+        v = flat.take(idx, axis=-1)
+        v *= wx
+        v *= wy
+        return v
+
+    out = corner(i00, gx, gy)
+    out += corner(i00 + dx, fx, gy)
+    out += corner(i10, gx, fy)
+    out += corner(i10 + dx, fx, fy)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +282,14 @@ class SceneSpec:
     def __post_init__(self):
         if not (self.baseline > 0 and self.focal > 0):
             raise ValueError("baseline and focal must be > 0")
-        for name in ("width", "height"):
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        for name, least in (("width", 1), ("height", 1), ("frames", 2), ("seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not self.noise_sigma >= 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
-        if self.frames < 2:
-            raise ValueError("need at least 2 frames")
+        if not (isinstance(self.background, numbers.Real) and math.isfinite(self.background)):
+            raise ValueError(f"background must be a finite number, got {self.background!r}")
         if not self.objects:
             raise ValueError("scene needs at least one object")
         _check_sprite_size("patch", self.patch)

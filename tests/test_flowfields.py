@@ -6,8 +6,9 @@ from scipy import ndimage
 
 from trailblaze import flowfields
 from trailblaze.flowfields import (
-    LK_EPS, LK_MAX_ITERS, LK_MIN_EIG_FACTOR, FlowField, TrackResult, _gradients, _pyramid,
-    farneback_flow, lk_track, sample_flow,
+    FB_ITERATIONS, FB_LEVELS, FB_POLY_N, FB_POLY_SIGMA, FB_WINDOW, LK_EPS, LK_MAX_ITERS,
+    LK_MIN_EIG_FACTOR, FlowField, TrackResult, _gradients, _pyramid, farneback_flow, lk_track,
+    sample_flow,
 )
 from trailblaze.keypoints import detect_fast
 from trailblaze.media import _bilinear, _gray
@@ -117,6 +118,127 @@ def lk_track_oracle(prev, next, points, levels: int = 3, window: int = 15) -> li
         else:
             results.append(TrackResult((qx, qy), "tracked"))
     return results
+
+
+# The Farneback path as it was before stacked sampling and the expansion memo:
+# one _bilinear call per coefficient, kernels and inv(G) built on every call,
+# twelve correlations and five box filters.  test_media checks that a stacked
+# _bilinear call equals these per-image calls.
+
+def poly_expand_oracle(img: np.ndarray, n: int, sigma: float):
+    """Per-pixel quadratic fit f ~ c + b.x + x'Ax under Gaussian applicability.
+
+    Returns (A11, A12, A22, b1, b2) image stacks; coordinates are (x, y)
+    with x along columns.
+    """
+    half = n // 2
+    xs = np.arange(-half, half + 1, dtype=np.float64)
+    g = np.exp(-(xs ** 2) / (2.0 * sigma ** 2))
+    g /= g.sum()
+    xg = xs * g
+    x2g = xs ** 2 * g
+
+    m2 = float(np.sum(x2g))
+    m4 = float(np.sum(xs ** 4 * g))
+    # metric of basis (1, x, y, x^2, y^2, xy) under separable Gaussian weight
+    G = np.array([
+        [1.0, 0.0, 0.0, m2, m2, 0.0],
+        [0.0, m2, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, m2, 0.0, 0.0, 0.0],
+        [m2, 0.0, 0.0, m4, m2 * m2, 0.0],
+        [m2, 0.0, 0.0, m2 * m2, m4, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, m2 * m2],
+    ])
+    Ginv = np.linalg.inv(G)
+
+    def corr(kernel_y, kernel_x):
+        out = ndimage.correlate1d(img, kernel_y, axis=0, mode="nearest")
+        return ndimage.correlate1d(out, kernel_x, axis=1, mode="nearest")
+
+    v = np.stack([
+        corr(g, g),     # <1, f>
+        corr(g, xg),    # <x, f>
+        corr(xg, g),    # <y, f>
+        corr(g, x2g),   # <x^2, f>
+        corr(x2g, g),   # <y^2, f>
+        corr(xg, xg),   # <xy, f>
+    ])
+    r = np.einsum("ij,jhw->ihw", Ginv, v)
+    b1, b2 = r[1], r[2]
+    A11, A22, A12 = r[3], r[4], r[5] / 2.0
+    return A11, A12, A22, b1, b2
+
+
+def solve_flow_oracle(A11, A12, A22, b1, b2, window: int):
+    """Window-averaged least squares of A d = delta_b."""
+    t11 = A11 * A11 + A12 * A12
+    t12 = A12 * (A11 + A22)
+    t22 = A12 * A12 + A22 * A22
+    h1 = A11 * b1 + A12 * b2
+    h2 = A12 * b1 + A22 * b2
+    box = lambda im: ndimage.uniform_filter(im, size=window, mode="nearest")
+    G11, G12, G22 = box(t11), box(t12), box(t22)
+    H1, H2 = box(h1), box(h2)
+    det = G11 * G22 - G12 * G12
+    det = np.where(np.abs(det) < 1e-12, 1e-12, det)
+    u = (G22 * H1 - G12 * H2) / det
+    v = (G11 * H2 - G12 * H1) / det
+    return u, v
+
+
+def farneback_flow_oracle(prev, next) -> FlowField:
+    """Dense displacement field from prev to next.
+
+    Polynomial expansion of both frames per pyramid level; the displacement
+    solves the window-averaged expansion-difference equations and is refined
+    FB_ITERATIONS times per level, coarse to fine.
+    """
+    img0 = _gray(prev) / 255.0
+    img1 = _gray(next) / 255.0
+    if img0.shape != img1.shape:
+        raise ValueError("frames must share dimensions")
+
+    pyr0 = _pyramid(img0, FB_LEVELS, FB_POLY_N + 2)
+    pyr1 = _pyramid(img1, FB_LEVELS, FB_POLY_N + 2)
+    u = np.zeros_like(pyr0[-1])
+    v = np.zeros_like(pyr0[-1])
+
+    for lvl in range(len(pyr0) - 1, -1, -1):
+        p0, p1 = pyr0[lvl], pyr1[lvl]
+        h, w = p0.shape
+        if u.shape != p0.shape:
+            u = np.repeat(np.repeat(u, 2, axis=0), 2, axis=1)[:h, :w] * 2.0
+            v = np.repeat(np.repeat(v, 2, axis=0), 2, axis=1)[:h, :w] * 2.0
+        A11a, A12a, A22a, b1a, b2a = poly_expand_oracle(p0, FB_POLY_N, FB_POLY_SIGMA)
+        A11b, A12b, A22b, b1b, b2b = poly_expand_oracle(p1, FB_POLY_N, FB_POLY_SIGMA)
+        yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+        for _ in range(FB_ITERATIONS):
+            sx = xx + u
+            sy = yy + v
+            wA11 = _bilinear(A11b, sx, sy)
+            wA12 = _bilinear(A12b, sx, sy)
+            wA22 = _bilinear(A22b, sx, sy)
+            wb1 = _bilinear(b1b, sx, sy)
+            wb2 = _bilinear(b2b, sx, sy)
+            A11 = 0.5 * (A11a + wA11)
+            A12 = 0.5 * (A12a + wA12)
+            A22 = 0.5 * (A22a + wA22)
+            db1 = -0.5 * (wb1 - b1a) + A11 * u + A12 * v
+            db2 = -0.5 * (wb2 - b2a) + A12 * u + A22 * v
+            u, v = solve_flow_oracle(A11, A12, A22, db1, db2, FB_WINDOW)
+    return FlowField(u=u, v=v)
+
+
+def same_field(a: FlowField, b: FlowField) -> bool:
+    return np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+
+
+@pytest.fixture
+def cold_memo():
+    """An empty expansion memo before and after the test."""
+    flowfields._EXPANSIONS.clear()
+    yield flowfields._EXPANSIONS
+    flowfields._EXPANSIONS.clear()
 
 
 class TestGradients:
@@ -346,7 +468,88 @@ class TestFarneback:
         assert np.isfinite(field.u).all() and np.isfinite(field.v).all()
 
 
+class TestFarnebackOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 44), st.integers(1, 60),
+           st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(0.0, 2.0), st.booleans())
+    def test_matches_oracle_bitwise(self, seed, h, w, dx, dy, blur, warm):
+        # a side below 33 px truncates the pyramid to two levels, below 17 px to one
+        rng = np.random.default_rng(seed)
+        img = ndimage.gaussian_filter(rng.uniform(10.0, 230.0, (h, w)), blur)
+        moved = warp_by(img, dx, dy) + rng.normal(0.0, 1.0, (h, w))
+        if not warm:
+            flowfields._EXPANSIONS.clear()
+        want = farneback_flow_oracle(img, moved)
+        assert same_field(farneback_flow(img, moved), want)
+        assert same_field(farneback_flow(img, moved), want)  # both frames memoised
+        assert same_field(farneback_flow(moved, img), farneback_flow_oracle(moved, img))
+
+    def test_poly_expand_matches_oracle_bitwise(self):
+        img = smooth_texture(12, shape=(40, 52)) / 255.0
+        assert np.array_equal(flowfields._poly_expand(img),
+                              np.stack(poly_expand_oracle(img, FB_POLY_N, FB_POLY_SIGMA)))
+
+
+class TestExpansionMemo:
+    def test_frame_changed_in_place_gives_cold_result(self, cold_memo):
+        a, b = smooth_texture(13, (40, 48)), smooth_texture(14, (40, 48))
+        before = farneback_flow(a, b)
+        a[20:24, 20:24] += 30.0
+        after = farneback_flow(a, b)
+        cold_memo.clear()
+        assert same_field(after, farneback_flow(a, b))
+        assert same_field(after, farneback_flow_oracle(a, b))
+        assert not same_field(after, before)
+
+    def test_holds_at_most_two_frames_and_expands_each_once(self, cold_memo, monkeypatch):
+        # the dense tracker's order: left t-1 -> t, then left t -> right t
+        expanded = []
+        pyramid = flowfields._pyramid
+        monkeypatch.setattr(flowfields, "_pyramid",
+                            lambda img, *a: expanded.append(img) or pyramid(img, *a))
+        left = [smooth_texture(20 + t, (36, 44)) for t in range(5)]
+        right = [np.roll(im, -3, axis=1) for im in left]
+        for t in range(1, 5):
+            if t > 1:
+                farneback_flow(left[t - 1], left[t])
+                assert len(cold_memo) <= flowfields.FB_MEMO_FRAMES == 2
+            farneback_flow(left[t], right[t])
+            assert len(cold_memo) <= 2
+        # every frame after the first is expanded once: left 1-4 and right 1-4
+        assert len(expanded) == 8
+
+    def test_alternating_shapes(self, cold_memo):
+        a, b = smooth_texture(30, (24, 36)), smooth_texture(31, (24, 36))
+        # the same bytes under another shape must not hit
+        at, bt = a.reshape(36, 24), b.reshape(36, 24)
+        c, d = smooth_texture(32, (30, 20)), smooth_texture(33, (30, 20))
+        for prev, nxt in [(a, b), (at, bt), (c, d), (a, b), (at, bt), (b, a), (d, c)]:
+            assert same_field(farneback_flow(prev, nxt), farneback_flow_oracle(prev, nxt))
+            assert len(cold_memo) <= 2
+
+    def test_memoised_expansions_are_read_only(self, cold_memo):
+        img = smooth_texture(34, (24, 30))
+        farneback_flow(img, img)
+        (levels,) = cold_memo.values()
+        for stack in levels:
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0, 0, 0] = 1.0
+
+
 class TestSampleFlow:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+    def test_matches_bilinear(self, data, h, w, seed):
+        rng = np.random.default_rng(seed)
+        f = FlowField(u=rng.normal(0, 5, (h, w)), v=rng.normal(0, 5, (h, w)))
+        coord = lambda hi: st.one_of(st.sampled_from([0.0, float(hi)]),
+                                     st.floats(0.0, float(hi)))
+        x, y = data.draw(coord(w - 1)), data.draw(coord(h - 1))
+        xs, ys = np.array([x]), np.array([y])
+        got = sample_flow(f, (x, y))
+        assert got == (float(_bilinear(f.u, xs, ys)[0]), float(_bilinear(f.v, xs, ys)[0]))
+        assert all(type(c) is float for c in got)
+
     def field(self):
         u = np.arange(12, dtype=np.float64).reshape(3, 4)
         v = -np.arange(12, dtype=np.float64).reshape(3, 4)
@@ -374,3 +577,8 @@ class TestSampleFlow:
     def test_out_of_bounds(self):
         with pytest.raises(ValueError, match="outside"):
             sample_flow(self.field(), (5.0, 1.0))
+
+    @pytest.mark.parametrize("p", [(-0.01, 1.0), (1.0, 2.01), (np.nan, 1.0), (1.0, np.inf)])
+    def test_just_outside_or_non_finite_rejected(self, p):
+        with pytest.raises(ValueError, match="outside"):
+            sample_flow(self.field(), p)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -302,3 +304,27 @@ class TestMatchReciprocal:
         a = np.array([[0.0, 0.0]])
         b = np.array([[0.5, 0.0]])
         assert match_with_ratio(a, b, 0.5) == [(0, 0)]
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, None], ids=["one_row", "ragged", "default"])
+    def test_row_blocks_match_oracle(self, chunk_rows, monkeypatch):
+        rng = np.random.default_rng(23)
+        a, b = rng.integers(0, 3, (23, 8)).astype(float), rng.integers(0, 3, (17, 8)).astype(float)
+        b[:5] = a[:5]
+        if chunk_rows is not None:
+            monkeypatch.setattr(keypoints, "MATCH_CHUNK_BYTES", chunk_rows * b.size * 8)
+        assert match_reciprocal(a, b) == match_reciprocal_oracle(a, b, keypoints.MATCH_RATIO)
+
+    def test_difference_array_memory_is_capped(self):
+        # the whole (200, 200, 128) float64 difference array would be 39 MiB
+        rng = np.random.default_rng(5)
+        a = rng.uniform(0, 1, (200, 128))
+        b = np.vstack([a[:100] + rng.normal(0, 0.01, (100, 128)), rng.uniform(0, 1, (100, 128))])
+        tracemalloc.start()
+        try:
+            got = match_reciprocal(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2 ** 20
+        assert got == match_reciprocal_oracle(a, b, keypoints.MATCH_RATIO)
+        assert len(got) >= 90

@@ -15,6 +15,21 @@ from trailblaze.media import (
 )
 
 
+def bilinear_oracle(img, xs, ys):
+    """The one-image _bilinear as it was before it took stacks: fancy-indexed corners."""
+    h, w = img.shape
+    xs = np.clip(xs, 0.0, w - 1.0)
+    ys = np.clip(ys, 0.0, h - 1.0)
+    x0 = np.minimum(np.floor(xs).astype(int), max(w - 2, 0))
+    y0 = np.minimum(np.floor(ys).astype(int), max(h - 2, 0))
+    x1 = x0 + (w > 1)
+    y1 = y0 + (h > 1)
+    fx = xs - x0
+    fy = ys - y0
+    return (img[y0, x0] * (1 - fx) * (1 - fy) + img[y0, x1] * fx * (1 - fy)
+            + img[y1, x0] * (1 - fx) * fy + img[y1, x1] * fx * fy)
+
+
 def rgb_frame(r, g, b):
     data = np.zeros((2, 2, 3), dtype=np.uint8)
     data[..., 0], data[..., 1], data[..., 2] = r, g, b
@@ -109,6 +124,22 @@ class TestBilinear:
         ys = rng.uniform(-2.0, h + 1.0, 200)
         want = ndimage.map_coordinates(img, [ys, xs], order=1, mode="nearest")
         assert np.abs(media._bilinear(img, xs, ys) - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(6, 7), (1, 5), (5, 1), (1, 1)])
+    def test_stack_equals_per_image_calls(self, shape):
+        rng = np.random.default_rng(sum(shape) + 1)
+        stack = rng.uniform(-50, 255, (3,) + shape)
+        h, w = shape
+        xs = rng.uniform(-2.0, w + 1.0, (4, 9))
+        ys = rng.uniform(-2.0, h + 1.0, (4, 9))
+        xs[0, :4] = [0.0, w - 1.0, 0.0, w - 1.0]  # the corners themselves
+        ys[0, :4] = [0.0, 0.0, h - 1.0, h - 1.0]
+        got = media._bilinear(stack, xs, ys)
+        assert got.shape == (3, 4, 9)
+        for k in range(3):
+            one = media._bilinear(stack[k], xs, ys)
+            assert np.array_equal(got[k], one)
+            assert np.array_equal(one, bilinear_oracle(stack[k], xs, ys))
 
     def test_integer_points_exact(self):
         img = np.arange(12.0).reshape(3, 4)
@@ -262,6 +293,9 @@ class TestSceneSpec:
     @pytest.mark.parametrize("field, value", [
         ("width", 0), ("height", 0), ("width", -3), ("noise_sigma", -1.0),
         ("noise_sigma", float("nan")), ("patch", 0), ("patch", 1.5), ("patch", -2),
+        ("width", 64.5), ("height", 48.0), ("frames", 2.5), ("frames", 1), ("frames", "6"),
+        ("seed", -1), ("seed", 1.5), ("background", float("nan")),
+        ("background", float("inf")), ("background", None),
     ])
     def test_bad_value_names_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
