@@ -10,16 +10,16 @@ gradients and template with one stacked `_bilinear` call per level.
 
 Farneback expands each frame's pyramid levels into (5, h, w) coefficient
 stacks; each refinement warps the five coefficients of the second frame with
-one stacked `_bilinear` call.  The expansions of the last FB_MEMO_FRAMES
-frames are memoised by exact content, so a frame that is `next` of one call
+one stacked `_bilinear` call.  An `lru_cache` of FB_MEMO_FRAMES frames keyed
+on exact content holds the expansions, so a frame that is `next` of one call
 and `prev` of the following one (or of a left-to-right call) is expanded once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
-from collections import OrderedDict
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,14 +60,6 @@ class FlowField:
     def __post_init__(self):
         if self.u.shape != self.v.shape:
             raise ValueError("u and v must share shape")
-
-    @property
-    def width(self):
-        return self.u.shape[1]
-
-    @property
-    def height(self):
-        return self.u.shape[0]
 
 
 def _downsample(img: np.ndarray) -> np.ndarray:
@@ -220,8 +212,6 @@ def _poly_basis(n: int, sigma: float):
 
 
 _POLY_KERNELS, _POLY_GINV = _poly_basis(FB_POLY_N, FB_POLY_SIGMA)
-_EXPANSIONS: OrderedDict = OrderedDict()  # (shape, bytes) of a 0-1 frame -> per-level stacks
-_EXPANSIONS_LOCK = threading.Lock()
 
 
 def _poly_expand(img: np.ndarray) -> np.ndarray:
@@ -254,24 +244,18 @@ def _poly_expand(img: np.ndarray) -> np.ndarray:
 def _expansions(img: np.ndarray) -> tuple:
     """Read-only `_poly_expand` stacks of each pyramid level of a 0-1 frame.
 
-    The last FB_MEMO_FRAMES frames are memoised, least recently used out.
-    The key holds the frame's shape and bytes, and the dict compares the
-    bytes, so a frame changed in place is expanded afresh.
+    Memoised on the frame's shape and bytes, so a frame changed in place is
+    expanded afresh.
     """
-    key = (img.shape, img.tobytes())
-    with _EXPANSIONS_LOCK:
-        hit = _EXPANSIONS.get(key)
-        if hit is not None:
-            _EXPANSIONS.move_to_end(key)
-            return hit
+    return _expand_frame(img.shape, img.tobytes())
+
+
+@functools.lru_cache(maxsize=FB_MEMO_FRAMES)
+def _expand_frame(shape: tuple, data: bytes) -> tuple:
+    img = np.frombuffer(data).reshape(shape)
     levels = tuple(_poly_expand(p) for p in _pyramid(img, FB_LEVELS, FB_POLY_N + 2))
     for e in levels:
         e.flags.writeable = False
-    with _EXPANSIONS_LOCK:
-        _EXPANSIONS[key] = levels
-        _EXPANSIONS.move_to_end(key)
-        while len(_EXPANSIONS) > FB_MEMO_FRAMES:
-            _EXPANSIONS.popitem(last=False)
     return levels
 
 
@@ -328,12 +312,23 @@ def farneback_flow(prev, next) -> FlowField:
     return FlowField(u=u, v=v)
 
 
+_REAL = (float, numbers.Real)  # float first: np.float64 skips the ABC check
+
+
 def sample_flow(field: FlowField, p) -> tuple:
     """Bilinearly interpolated displacement at subpixel point p = (x, y).
 
     Computed in Python floats with `_bilinear`'s corners, weights and order
     of operations, so it returns the same values without numpy's per-call cost.
+    A point that is not two real numbers, or lies outside the field, is a
+    ValueError naming it.
     """
+    try:
+        ok = len(p) == 2 and isinstance(p[0], _REAL) and isinstance(p[1], _REAL)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"point {p!r} is not two real numbers (x, y)")
     x, y = float(p[0]), float(p[1])
     h, w = field.u.shape
     if not (0.0 <= x <= w - 1 and 0.0 <= y <= h - 1):

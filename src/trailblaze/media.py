@@ -74,24 +74,17 @@ class Clip:
                 raise ValueError("clip frames must share dimensions and channel count")
 
 
-def to_grayscale(frame: Frame) -> Frame:
-    """Convert to single channel with BT.601 weights, rounding half-up."""
-    if frame.channels == 1:
-        return frame
-    rgb = frame.data.astype(np.float64)
-    y = rgb[..., 0] * GRAY_WEIGHTS[0] + rgb[..., 1] * GRAY_WEIGHTS[1] + rgb[..., 2] * GRAY_WEIGHTS[2]
-    y = np.clip(np.floor(y + 0.5), 0, 255).astype(np.uint8)
-    return Frame(y)
-
-
 def _gray(image) -> np.ndarray:
     """Grayscale intensities as float64 (h, w) in 0-255 units.
 
-    A Frame goes through `to_grayscale`; a 2-D array is cast to float64.
+    A colour Frame is weighted with BT.601 and rounded half-up to whole
+    levels; a grey Frame or a 2-D array is cast to float64.
     """
-    if isinstance(image, Frame):
-        return to_grayscale(image).data.astype(np.float64)
-    arr = np.asarray(image, dtype=np.float64)
+    if isinstance(image, Frame) and image.channels == 3:
+        rgb = image.data.astype(np.float64)
+        y = rgb[..., 0] * GRAY_WEIGHTS[0] + rgb[..., 1] * GRAY_WEIGHTS[1] + rgb[..., 2] * GRAY_WEIGHTS[2]
+        return np.clip(np.floor(y + 0.5), 0, 255)
+    arr = np.asarray(image.data if isinstance(image, Frame) else image, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a Frame or a 2-D grayscale array, got shape {arr.shape}")
     return arr
@@ -177,8 +170,9 @@ def _write_pnm(path: Path, arr: np.ndarray) -> None:
     path.write_bytes(header + np.ascontiguousarray(arr, dtype=np.uint8).tobytes())
 
 
-def load_clip(path, clip_id: str | None = None) -> Clip:
-    """Load a clip from a directory of PGM/PPM frames in lexicographic order."""
+def load_clip(path) -> Clip:
+    """Load a clip from a directory of PGM/PPM frames in lexicographic order;
+    its clip_id is the directory's name."""
     path = Path(path)
     if not path.is_dir():
         raise FileNotFoundError(f"missing directory {path}")
@@ -198,7 +192,7 @@ def load_clip(path, clip_id: str | None = None) -> Clip:
                 f"inconsistent dimensions in {p.name}: {arr.shape[1]}x{arr.shape[0]} "
                 f"vs {first_shape[1]}x{first_shape[0]}")
         frames.append(Frame.from_array(arr))
-    return Clip(frames=tuple(frames), clip_id=clip_id or path.name)
+    return Clip(frames=tuple(frames), clip_id=path.name)
 
 
 def write_clip(clip: Clip, path) -> None:

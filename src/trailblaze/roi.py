@@ -1,5 +1,6 @@
-"""Moving-region detection: per-pixel Gaussian mixture background model and
-proximity-merged bounding boxes."""
+"""Moving-region detection: a per-pixel Gaussian mixture background model,
+updated with array picks over its (K, h, w) stacks, and bounding boxes merged
+through a pairwise gap matrix whose closure is taken by boolean squaring."""
 
 from __future__ import annotations
 
@@ -55,41 +56,34 @@ def update_and_subtract(model: BackgroundModel, frame) -> tuple:
     img = _gray(frame)
     if img.shape != model.shape:
         raise ValueError(f"frame shape {img.shape} does not match model {model.shape}")
-    w = model.weights.copy()
-    mu = model.means.copy()
-    var = model.variances.copy()
+    w, mu, var = model.weights, model.means, model.variances
 
     diff = img[None] - mu
     matches = diff ** 2 <= (MATCH_K ** 2) * var
 
     # among matching components pick the highest-weight one
-    cand = np.where(matches, w, -1.0)
-    best = np.argmax(cand, axis=0)
+    best = np.argmax(np.where(matches, w, -1.0), axis=0)
     any_match = np.take_along_axis(matches, best[None], axis=0)[0]
 
-    # background set: weight-sorted prefix reaching BG_RATIO
+    # background set: weight-sorted prefix reaching BG_RATIO; `ahead` holds,
+    # in component order, the weight of the components sorted before each one
     order = np.argsort(-w, axis=0, kind="stable")
     sorted_w = np.take_along_axis(w, order, axis=0)
-    cum = np.cumsum(sorted_w, axis=0)
-    in_prefix_sorted = (cum - sorted_w) < BG_RATIO
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(w.shape[0])[:, None, None], axis=0)
-    best_rank = np.take_along_axis(rank, best[None], axis=0)[0]
-    best_in_bg = np.take_along_axis(in_prefix_sorted, best_rank[None], axis=0)[0]
+    ahead = np.empty_like(w)
+    np.put_along_axis(ahead, order, np.cumsum(sorted_w, axis=0) - sorted_w, axis=0)
+    best_in_bg = np.take_along_axis(ahead, best[None], axis=0)[0] < BG_RATIO
     foreground = ~(any_match & best_in_bg)
 
     # adapt matched component: w_k <- (1-a)w_k + a*m_k, only where a match exists
-    hit = np.zeros_like(matches)
-    np.put_along_axis(hit, best[None], any_match[None], axis=0)
+    component = np.arange(len(w))[:, None, None]
+    hit = (component == best) & any_match
     updated = np.where(hit, w + ALPHA * (1.0 - w), w * (1.0 - ALPHA))
     w = np.where(any_match[None], updated, w)
     mu = np.where(hit, mu + ALPHA * diff, mu)
     var = np.where(hit, var + ALPHA * (diff ** 2 - var), var)
 
     # unmatched pixel: replace its lowest-weight component
-    lowest = np.argmin(model.weights, axis=0)
-    repl = np.zeros_like(hit)
-    np.put_along_axis(repl, lowest[None], (~any_match)[None], axis=0)
+    repl = (component == np.argmin(model.weights, axis=0)) & ~any_match
     mu = np.where(repl, img[None], mu)
     var = np.where(repl, INIT_VARIANCE, var)
     w = np.where(repl, NEW_WEIGHT, w)
@@ -111,49 +105,25 @@ class Roi:
             raise ValueError("Roi must have positive size")
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
+def _merge(boxes: np.ndarray, reach) -> np.ndarray:
+    """Union boxes of the linked groups of `boxes` (n, 4) as (x, y, w, h).
 
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
-def _box_gap(a, b) -> float:
-    gx = max(max(a[0], b[0]) - min(a[0] + a[2], b[0] + b[2]), 0)
-    gy = max(max(a[1], b[1]) - min(a[1] + a[3], b[1] + b[3]), 0)
-    return max(gx, gy)
-
-
-def _boxes_overlap(a, b) -> bool:
-    return a[0] < b[0] + b[2] and b[0] < a[0] + a[2] and a[1] < b[1] + b[3] and b[1] < a[1] + a[3]
-
-
-def _merge_boxes(boxes, edge):
-    uf = _UnionFind(len(boxes))
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            if edge(boxes[i], boxes[j]):
-                uf.union(i, j)
-    groups = {}
-    for i, b in enumerate(boxes):
-        groups.setdefault(uf.find(i), []).append(b)
-    merged = []
-    for members in groups.values():
-        x0 = min(b[0] for b in members)
-        y0 = min(b[1] for b in members)
-        x1 = max(b[0] + b[2] for b in members)
-        y1 = max(b[1] + b[3] for b in members)
-        merged.append((x0, y0, x1 - x0, y1 - y0))
-    return merged
+    Two boxes link when their signed gap, the larger over both axes of
+    max(lo) - min(hi), is <= reach: reach -1 links only overlapping boxes.
+    Groups are the transitive closure of the link matrix, taken by repeated
+    boolean squaring; each is listed once, at its first member.
+    """
+    lo = boxes[:, :2]
+    hi = lo + boxes[:, 2:]
+    gap = (np.maximum(lo[:, None], lo) - np.minimum(hi[:, None], hi)).max(axis=2)
+    linked = gap <= reach  # reflexive: a box's gap to itself is -min(w, h)
+    while not np.array_equal(wider := linked @ linked, linked):
+        linked = wider
+    first = linked.argmax(axis=1) == np.arange(len(boxes))
+    group = linked[first, :, None]
+    x0y0 = np.where(group, lo, lo.max()).min(axis=1)
+    x1y1 = np.where(group, hi, hi.min()).max(axis=1)
+    return np.hstack([x0y0, x1y1 - x0y0])
 
 
 def extract_regions(mask: np.ndarray) -> list:
@@ -164,17 +134,10 @@ def extract_regions(mask: np.ndarray) -> list:
     labels, n = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
     if n == 0:
         return []
-    boxes = []
-    for sl in ndimage.find_objects(labels):
-        boxes.append((sl[1].start, sl[0].start,
-                      sl[1].stop - sl[1].start, sl[0].stop - sl[0].start))
-
-    merged = _merge_boxes(boxes, lambda a, b: _boxes_overlap(a, b) or _box_gap(a, b) <= PROXIMITY)
+    boxes = np.array([(sl[1].start, sl[0].start, sl[1].stop - sl[1].start, sl[0].stop - sl[0].start)
+                      for sl in ndimage.find_objects(labels)])
+    merged = _merge(boxes, PROXIMITY)
     # union boxes may newly overlap; keep merging so every pixel gets one box
-    while True:
-        again = _merge_boxes(merged, _boxes_overlap)
-        if len(again) == len(merged):
-            merged = again
-            break
+    while len(again := _merge(merged, -1)) < len(merged):
         merged = again
-    return [Roi(*b) for b in sorted(merged)]
+    return [Roi(*b) for b in sorted(merged.tolist())]

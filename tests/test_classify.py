@@ -181,6 +181,13 @@ class TestLeaveOneActorOut:
         with pytest.raises(ValueError, match="actor1"):
             leave_one_actor_out(videos, k=2, epochs=5, seed=0)
 
+    def test_clip_id_under_two_actors_named(self):
+        videos = one_hot_videos(classes=2, actors=2, reps=2)
+        dup = next(v for v in videos if v.actor == "actor1")
+        videos.append(VideoSample(dup.clip_id, dup.label, "actor0", dup.descriptors))
+        with pytest.raises(ValueError, match=f"clip_id '{dup.clip_id}'.*'actor1' and 'actor0'"):
+            leave_one_actor_out(videos, k=2, epochs=5, seed=0)
+
     def test_deterministic(self):
         videos = one_hot_videos()
         a = leave_one_actor_out(videos, k=2, epochs=10, seed=5)

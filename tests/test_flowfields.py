@@ -236,9 +236,9 @@ def same_field(a: FlowField, b: FlowField) -> bool:
 @pytest.fixture
 def cold_memo():
     """An empty expansion memo before and after the test."""
-    flowfields._EXPANSIONS.clear()
-    yield flowfields._EXPANSIONS
-    flowfields._EXPANSIONS.clear()
+    flowfields._expand_frame.cache_clear()
+    yield flowfields._expand_frame
+    flowfields._expand_frame.cache_clear()
 
 
 class TestGradients:
@@ -478,7 +478,7 @@ class TestFarnebackOracle:
         img = ndimage.gaussian_filter(rng.uniform(10.0, 230.0, (h, w)), blur)
         moved = warp_by(img, dx, dy) + rng.normal(0.0, 1.0, (h, w))
         if not warm:
-            flowfields._EXPANSIONS.clear()
+            flowfields._expand_frame.cache_clear()
         want = farneback_flow_oracle(img, moved)
         assert same_field(farneback_flow(img, moved), want)
         assert same_field(farneback_flow(img, moved), want)  # both frames memoised
@@ -496,7 +496,7 @@ class TestExpansionMemo:
         before = farneback_flow(a, b)
         a[20:24, 20:24] += 30.0
         after = farneback_flow(a, b)
-        cold_memo.clear()
+        cold_memo.cache_clear()
         assert same_field(after, farneback_flow(a, b))
         assert same_field(after, farneback_flow_oracle(a, b))
         assert not same_field(after, before)
@@ -512,9 +512,9 @@ class TestExpansionMemo:
         for t in range(1, 5):
             if t > 1:
                 farneback_flow(left[t - 1], left[t])
-                assert len(cold_memo) <= flowfields.FB_MEMO_FRAMES == 2
+                assert cold_memo.cache_info().currsize <= flowfields.FB_MEMO_FRAMES == 2
             farneback_flow(left[t], right[t])
-            assert len(cold_memo) <= 2
+            assert cold_memo.cache_info().currsize <= 2
         # every frame after the first is expanded once: left 1-4 and right 1-4
         assert len(expanded) == 8
 
@@ -525,12 +525,14 @@ class TestExpansionMemo:
         c, d = smooth_texture(32, (30, 20)), smooth_texture(33, (30, 20))
         for prev, nxt in [(a, b), (at, bt), (c, d), (a, b), (at, bt), (b, a), (d, c)]:
             assert same_field(farneback_flow(prev, nxt), farneback_flow_oracle(prev, nxt))
-            assert len(cold_memo) <= 2
+            assert cold_memo.cache_info().currsize <= 2
 
     def test_memoised_expansions_are_read_only(self, cold_memo):
         img = smooth_texture(34, (24, 30))
         farneback_flow(img, img)
-        (levels,) = cold_memo.values()
+        assert cold_memo.cache_info().currsize == 1
+        levels = flowfields._expansions(img / 255.0)
+        assert cold_memo.cache_info().currsize == 1
         for stack in levels:
             with pytest.raises(ValueError, match="read-only"):
                 stack[0, 0, 0] = 1.0
@@ -582,3 +584,14 @@ class TestSampleFlow:
     def test_just_outside_or_non_finite_rejected(self, p):
         with pytest.raises(ValueError, match="outside"):
             sample_flow(self.field(), p)
+
+    @pytest.mark.parametrize("p", [(1.0,), (1, 2, 3), "12", np.array([1.0, 2.0, 3.0]),
+                                   ("1", 2), 1.5, None])
+    def test_malformed_point_named(self, p):
+        with pytest.raises(ValueError, match=r"point .* is not two real numbers"):
+            sample_flow(self.field(), p)
+
+    @pytest.mark.parametrize("p", [(1, 2), [1.0, 2.0], np.array([1.0, 2.0]),
+                                   (np.int64(1), np.float32(2.0))])
+    def test_any_two_reals_accepted(self, p):
+        assert sample_flow(self.field(), p) == (9.0, -9.0)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from trailblaze import keypoints
 from trailblaze.keypoints import CIRCLE, describe_patch, detect_fast, match_reciprocal
-from trailblaze.media import Frame, _gray, to_grayscale
+from trailblaze.media import Frame, _gray
 
 
 def segment_test_oracle(img, x, y, threshold):
@@ -75,7 +75,7 @@ class TestDetectFast:
     def test_rgb_frame_converted(self):
         rng = np.random.default_rng(5)
         frame = Frame.from_array(rng.integers(0, 256, (32, 40, 3)).astype(np.uint8))
-        gray = to_grayscale(frame).data
+        gray = _gray(frame)
         corners = detect_fast(frame)
         assert corners and corners == detect_fast(gray)
         assert np.array_equal(describe_patch(frame, (20, 16)), describe_patch(gray, (20, 16)))

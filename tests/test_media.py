@@ -11,7 +11,7 @@ from scipy import ndimage
 
 from trailblaze import media
 from trailblaze.media import (
-    Clip, Frame, ObjectPath, SceneSpec, load_clip, synth_stereo, to_grayscale, write_clip,
+    Clip, Frame, ObjectPath, SceneSpec, load_clip, synth_stereo, write_clip,
 )
 
 
@@ -45,24 +45,20 @@ def weighted_sum_oracle(r, g, b):
 
 class TestToGrayscale:
     def test_white(self):
-        assert to_grayscale(rgb_frame(255, 255, 255)).data[0, 0] == 255
+        assert media._gray(rgb_frame(255, 255, 255))[0, 0] == 255
 
     def test_black(self):
-        assert to_grayscale(rgb_frame(0, 0, 0)).data[0, 0] == 0
+        assert media._gray(rgb_frame(0, 0, 0))[0, 0] == 0
 
     def test_pure_red(self):
         assert weighted_sum_oracle(255, 0, 0) == 76
-        assert to_grayscale(rgb_frame(255, 0, 0)).data[0, 0] == 76
+        assert media._gray(rgb_frame(255, 0, 0))[0, 0] == 76
 
     def test_matches_oracle_on_random_colors(self):
         rng = np.random.default_rng(0)
         for r, g, b in rng.integers(0, 256, (50, 3)):
-            got = to_grayscale(rgb_frame(r, g, b)).data[0, 0]
+            got = media._gray(rgb_frame(r, g, b))[0, 0]
             assert got == weighted_sum_oracle(int(r), int(g), int(b))
-
-    def test_gray_passthrough(self):
-        f = Frame.from_array(np.full((3, 4), 9, dtype=np.uint8))
-        assert to_grayscale(f) is f
 
 
 class TestFrame:
@@ -97,12 +93,29 @@ class TestFrame:
             Clip((gray, Frame(np.zeros((4, 5, 3), dtype=np.uint8))))
 
 
+def to_grayscale_oracle(frame: Frame) -> Frame:
+    """The uint8 Frame converter that _gray went through before it did the work itself."""
+    if frame.channels == 1:
+        return frame
+    rgb = frame.data.astype(np.float64)
+    y = rgb[..., 0] * 0.299 + rgb[..., 1] * 0.587 + rgb[..., 2] * 0.114
+    y = np.clip(np.floor(y + 0.5), 0, 255).astype(np.uint8)
+    return Frame(y)
+
+
 class TestGray:
     def test_rgb_frame_goes_through_to_grayscale(self):
-        f = rgb_frame(255, 0, 0)
+        rng = np.random.default_rng(7)
+        data = rng.integers(0, 256, (9, 11, 3)).astype(np.uint8)
+        data[0, :3] = [[0, 0, 0], [255, 255, 255], [255, 0, 0]]
+        f = Frame(data)
         got = media._gray(f)
-        assert got.dtype == np.float64 and got.shape == (2, 2)
-        assert np.array_equal(got, to_grayscale(f).data)
+        assert got.dtype == np.float64 and got.shape == (9, 11)
+        assert got.tobytes() == to_grayscale_oracle(f).data.astype(np.float64).tobytes()
+
+    def test_gray_frame_cast_keeps_units(self):
+        f = Frame(np.array([[0, 9], [255, 128]], dtype=np.uint8))
+        assert np.array_equal(media._gray(f), f.data.astype(np.float64))
 
     def test_array_cast_keeps_units(self):
         arr = np.array([[0, 200], [255, 17]], dtype=np.uint8)
@@ -166,6 +179,7 @@ class TestClipIO:
         write_clip(self.make_clip(), tmp_path / "c")
         clip = load_clip(tmp_path / "c")
         assert len(clip.frames) == 3 and clip.frames[0].width == 64
+        assert clip.clip_id == "c"
 
     def test_empty_directory(self, tmp_path):
         (tmp_path / "c").mkdir()

@@ -4,7 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trailblaze import roi
-from trailblaze.roi import BackgroundModel, Roi, extract_regions, update_and_subtract
+from trailblaze.media import _gray
+from trailblaze.roi import (
+    ALPHA, BG_RATIO, INIT_VARIANCE, MATCH_K, MIN_VARIANCE, NEW_WEIGHT, BackgroundModel, Roi,
+    extract_regions, update_and_subtract,
+)
 
 
 def run_model(frames):
@@ -49,6 +53,102 @@ class TestBackgroundModel:
         model = BackgroundModel.initialize(np.zeros((10, 10)))
         with pytest.raises(ValueError, match="match"):
             update_and_subtract(model, np.zeros((5, 5)))
+
+
+def update_and_subtract_oracle(model: BackgroundModel, frame) -> tuple:
+    """update_and_subtract as it was with a rank inversion and put_along_axis picks."""
+    img = _gray(frame)
+    if img.shape != model.shape:
+        raise ValueError(f"frame shape {img.shape} does not match model {model.shape}")
+    w = model.weights.copy()
+    mu = model.means.copy()
+    var = model.variances.copy()
+
+    diff = img[None] - mu
+    matches = diff ** 2 <= (MATCH_K ** 2) * var
+
+    # among matching components pick the highest-weight one
+    cand = np.where(matches, w, -1.0)
+    best = np.argmax(cand, axis=0)
+    any_match = np.take_along_axis(matches, best[None], axis=0)[0]
+
+    # background set: weight-sorted prefix reaching BG_RATIO
+    order = np.argsort(-w, axis=0, kind="stable")
+    sorted_w = np.take_along_axis(w, order, axis=0)
+    cum = np.cumsum(sorted_w, axis=0)
+    in_prefix_sorted = (cum - sorted_w) < BG_RATIO
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(w.shape[0])[:, None, None], axis=0)
+    best_rank = np.take_along_axis(rank, best[None], axis=0)[0]
+    best_in_bg = np.take_along_axis(in_prefix_sorted, best_rank[None], axis=0)[0]
+    foreground = ~(any_match & best_in_bg)
+
+    # adapt matched component: w_k <- (1-a)w_k + a*m_k, only where a match exists
+    hit = np.zeros_like(matches)
+    np.put_along_axis(hit, best[None], any_match[None], axis=0)
+    updated = np.where(hit, w + ALPHA * (1.0 - w), w * (1.0 - ALPHA))
+    w = np.where(any_match[None], updated, w)
+    mu = np.where(hit, mu + ALPHA * diff, mu)
+    var = np.where(hit, var + ALPHA * (diff ** 2 - var), var)
+
+    # unmatched pixel: replace its lowest-weight component
+    lowest = np.argmin(model.weights, axis=0)
+    repl = np.zeros_like(hit)
+    np.put_along_axis(repl, lowest[None], (~any_match)[None], axis=0)
+    mu = np.where(repl, img[None], mu)
+    var = np.where(repl, INIT_VARIANCE, var)
+    w = np.where(repl, NEW_WEIGHT, w)
+
+    var = np.maximum(var, MIN_VARIANCE)
+    w = w / w.sum(axis=0, keepdims=True)
+    return BackgroundModel(w, mu, var), foreground
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBackgroundModelOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 6),
+           st.integers(1, 10), st.booleans())
+    def test_matches_rank_oracle_bitwise(self, seed, h, w, steps, tied_start):
+        rng = np.random.default_rng(seed)
+        levels = np.array([0.0, 40.0, 100.0, 101.0, 200.0, 255.0])
+
+        def frame():
+            # few levels, so pixels match, miss and tie; sometimes a little noise
+            img = rng.choice(levels, (h, w))
+            return img + rng.normal(0.0, 3.0, (h, w)) if rng.random() < 0.3 else img
+
+        if tied_start:
+            # weights from a small set, so components tie in weight (as [1, 0, 0] does)
+            k = roi.COMPONENTS
+            model = BackgroundModel(rng.choice([0.0, 0.25, 0.5, 1.0], (k, h, w)),
+                                    rng.choice(levels, (k, h, w)),
+                                    rng.choice([4.0, 25.0, 225.0], (k, h, w)))
+        else:
+            model = BackgroundModel.initialize(frame())
+        want = model
+        for _ in range(steps):
+            f = frame()
+            model, mask = update_and_subtract(model, f)
+            want, want_mask = update_and_subtract_oracle(want, f)
+            assert same_bits(mask, want_mask)
+            for name in ("weights", "means", "variances"):
+                assert same_bits(getattr(model, name), getattr(want, name)), name
+
+    def test_initial_tie_is_broken_the_same_way(self):
+        # initialize gives weights [1, 0, 0]: a miss replaces component 1, the
+        # first of the two lowest
+        model = BackgroundModel.initialize(np.zeros((2, 3)))
+        got, mask = update_and_subtract(model, np.full((2, 3), 200.0))
+        want, want_mask = update_and_subtract_oracle(model, np.full((2, 3), 200.0))
+        assert mask.all() and same_bits(mask, want_mask)
+        assert (got.means[1] == 200.0).all() and (got.means[2] == 0.0).all()
+        for name in ("weights", "means", "variances"):
+            assert same_bits(getattr(got, name), getattr(want, name)), name
 
 
 def union_find_oracle(boxes, proximity):
@@ -127,10 +227,11 @@ class TestExtractRegions:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 6))
     def test_matches_union_find_oracle(self, seed, proximity):
+        # up to 40 blobs: long chains need several squarings of the link matrix
         rng = np.random.default_rng(seed)
         mask = np.zeros((40, 50), dtype=bool)
         boxes = []
-        for _ in range(rng.integers(1, 6)):
+        for _ in range(rng.integers(1, 41)):
             w, h = int(rng.integers(2, 8)), int(rng.integers(2, 8))
             x, y = int(rng.integers(0, 50 - w)), int(rng.integers(0, 40 - h))
             put_blob(mask, x, y, w, h)
