@@ -1,9 +1,18 @@
-"""One-vs-rest linear SVMs trained by averaged stochastic subgradient descent,
-plus the leave-one-actor-out evaluation harness with blended confusion matrices.
+"""One-vs-rest linear SVMs trained by averaged Pegasos, plus the
+leave-one-actor-out evaluation harness with blended confusion matrices.
+
+Pegasos (Shalev-Shwartz et al., ICML 2007) with step 1/(lambda t) shrinks the
+iterate by (t - 1)/t each step, so the iterate telescopes into a weighted sum
+of the examples: W_t = A_tᵀX / (lambda t), with A (n, C) the count of signed
+updates per example and class.  `train` therefore runs the iteration on the
+n × n Gram matrix, one row per step, and builds the averaged weights and
+biases once from the recorded updates at the end.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import zlib
 from dataclasses import dataclass
 
@@ -68,14 +77,26 @@ def derive_seed(seed: int, tag: str) -> int:
 
 
 def train(examples, C: float = 1.0, epochs: int = 50, seed: int = 0) -> SvmModel:
-    """Averaged Pegasos-style subgradient descent on the one-vs-rest hinge loss.
+    """Averaged Pegasos on the one-vs-rest hinge loss, run on the Gram matrix.
 
-    lambda = 1/(C*n); learning rate 1/(lambda*t); the returned weights are
-    the average over all iterates, which makes training deterministic and
-    stable given the seed.
+    lambda = 1/(C*n), step eta_t = 1/(lambda*t), and each epoch visits the
+    examples in the order of one ``rng.permutation(n)``.  Step t takes
+    example i and sets u_t[c] = y_i[c] for each class c whose margin
+    y_i[c] (W_{t-1}[c]·x_i + b_{t-1}[c]) is below 1, else 0; then
+    W_t = (1 - 1/t) W_{t-1} + eta_t u_t x_i and b_t = b_{t-1} + eta_t u_t.
+    The shrink telescopes to W_t = A_tᵀX / (lambda t), A (n, C) the summed
+    updates per example, so a step reads one row of G = X Xᵀ:
+    W_{t-1}·x_i = G[i]·A_{t-1} / (lambda (t-1)).  The returned model is the
+    average of all T iterates, built once from the recorded u_t:
+    W̄ = Σ_t (H_T - H_{t-1}) u_t x_{i_t} / (lambda T), H the harmonic sums,
+    and b̄ the mean of the running biases.  The sample order, the updates
+    and the biases are those of the per-step loop; no step touches a D-long
+    array.
     """
     if not C > 0:
         raise ValueError(f"C must be > 0, got {C}")
+    if isinstance(epochs, bool) or not isinstance(epochs, numbers.Integral):
+        raise ValueError(f"epochs must be an integer, got {epochs!r}")
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     examples = list(examples)
@@ -83,33 +104,48 @@ def train(examples, C: float = 1.0, epochs: int = 50, seed: int = 0) -> SvmModel
     if len(labels) < 2:
         raise ValueError("need at least 2 classes to train")
     index = {lab: i for i, lab in enumerate(labels)}
-    X = np.stack([np.asarray(e.fv, dtype=np.float64) for e in examples])
+    X = _feature_matrix(examples)
     Y = -np.ones((len(examples), len(labels)))
     for i, e in enumerate(examples):
         Y[i, index[e.label]] = 1.0
 
-    n, dim = X.shape
+    n, T = len(X), epochs * len(X)
     lam = 1.0 / (C * n)
-    W = np.zeros((len(labels), dim))
-    b = np.zeros(len(labels))
-    W_sum = np.zeros_like(W)
-    b_sum = np.zeros_like(b)
+    if not (0 < lam * T < math.inf and 1.0 / lam < math.inf):
+        raise ValueError(f"C must be finite with steps 1/(lambda t) in float range, got C = {C} "
+                         f"for n = {n} and {T} steps (lambda = 1/(C*n) = {lam})")
     rng = np.random.default_rng(seed)
-    t = 0
-    for _ in range(epochs):
-        for i in rng.permutation(n):
-            t += 1
-            eta = 1.0 / (lam * t)
-            x = X[i]
-            margins = Y[i] * (W @ x + b)
-            W *= 1.0 - eta * lam
-            viol = margins < 1.0
-            if viol.any():
-                W[viol] += (eta * Y[i, viol])[:, None] * x[None]
-                b[viol] += eta * Y[i, viol]
-            W_sum += W
-            b_sum += b
-    return SvmModel(weights=W_sum / t, biases=b_sum / t, labels=labels)
+    order = np.concatenate([rng.permutation(n) for _ in range(epochs)])
+    eta = 1.0 / (lam * np.arange(1, T + 1))
+    G = X @ X.T
+    A = np.zeros((n, len(labels)))
+    b = np.zeros(len(labels))
+    U = np.zeros((T, len(labels)))
+    for t, i in enumerate(order):
+        # eta[t - 1] = 1/(lambda t) scales A into W_{t-1}; A is still zero at t = 0
+        y, u = Y[i], U[t]
+        np.multiply(y, y * ((G[i] @ A) * eta[t - 1] + b) < 1.0, out=u)
+        A[i] += u
+        b += u * eta[t]
+    tail = np.cumsum(1.0 / np.arange(T, 0, -1))[::-1]  # H_T - H_{t-1}
+    coef = np.zeros((n, len(labels)))
+    np.add.at(coef, order, U * tail[:, None])
+    b_bar = np.cumsum(U * eta[:, None], axis=0).sum(axis=0) / T  # b_t summed in step order
+    return SvmModel(weights=(coef.T @ X) / (lam * T), biases=b_bar, labels=labels)
+
+
+def _feature_matrix(examples) -> np.ndarray:
+    """The (n, D) float64 matrix of the examples' Fisher vectors."""
+    fvs = [np.asarray(e.fv, dtype=np.float64) for e in examples]
+    for i, fv in enumerate(fvs):
+        if fv.ndim != 1 or fv.shape != fvs[0].shape:
+            raise ValueError(f"example {i} has feature shape {fv.shape}, "
+                             f"expected a vector like example 0's {fvs[0].shape}")
+    X = np.stack(fvs)
+    if not np.isfinite(X).all():
+        i, j = np.argwhere(~np.isfinite(X))[0]
+        raise ValueError(f"example {i} feature {j} is not finite: {X[i, j]}")
+    return X
 
 
 def predict(model: SvmModel, fv) -> str:

@@ -61,18 +61,36 @@ class FisherCodebook:
 
 
 def _kmeanspp_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding: each next centre is a row drawn with probability
+    proportional to its squared distance to the nearest centre so far.
+
+    Distances are expanded as ``‖x‖² − 2x·c + ‖c‖²``, one matrix-vector
+    product per centre, over the rows centred on the pool mean so that the
+    rounding scales with the pool's spread rather than its offset.  Rows
+    whose expanded distance is within rounding of zero are recomputed as
+    ``((x − c)²).sum()`` on the original rows, so a row equal to a chosen
+    centre keeps exactly zero weight.
+    """
+    Xc = X - X.mean(axis=0)
+    sq = np.einsum("ij,ij->i", Xc, Xc)
+
+    def dist2(j):
+        d2 = np.maximum(sq - 2.0 * (Xc @ Xc[j]) + sq[j], 0.0)
+        near = np.flatnonzero(d2 <= 1e-8 * (sq + sq[j]))  # far above the expansion's rounding
+        d2[near] = ((X[near] - X[j]) ** 2).sum(axis=1)
+        return d2
+
     n = len(X)
-    centers = np.empty((k, X.shape[1]))
-    centers[0] = X[rng.integers(n)]
-    d2 = ((X - centers[0]) ** 2).sum(axis=1)
-    for i in range(1, k):
+    picks = [rng.integers(n)]
+    d2 = dist2(picks[0])
+    for _ in range(1, k):
         total = d2.sum()
         if total <= 0:
-            centers[i] = X[rng.integers(n)]
+            picks.append(rng.integers(n))
             continue
-        centers[i] = X[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((X - centers[i]) ** 2).sum(axis=1))
-    return centers
+        picks.append(rng.choice(n, p=d2 / total))
+        d2 = np.minimum(d2, dist2(picks[-1]))
+    return X[picks]
 
 
 def _log_responsibilities(X, weights, means, variances):

@@ -49,6 +49,6 @@ def describe(traj, r: int) -> ShapeDescriptor:
     blocks = []
     cur = pts
     for _ in range(r):
-        cur = np.diff(cur, axis=0)
+        cur = cur[1:] - cur[:-1]
         blocks.append(cur.ravel())
     return ShapeDescriptor(values=np.concatenate(blocks), r=r, n=n, l=l)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,47 @@ from trailblaze.classify import (
     ConfusionMatrix, LabeledVideo, SvmModel, VideoSample, accuracy,
     leave_one_actor_out, predict, train,
 )
+
+
+def train_oracle(examples, C: float = 1.0, epochs: int = 50, seed: int = 0) -> SvmModel:
+    """The per-step averaged Pegasos loop that `train` telescopes."""
+    examples = list(examples)
+    labels = tuple(sorted({e.label for e in examples}))
+    index = {lab: i for i, lab in enumerate(labels)}
+    X = np.stack([np.asarray(e.fv, dtype=np.float64) for e in examples])
+    Y = -np.ones((len(examples), len(labels)))
+    for i, e in enumerate(examples):
+        Y[i, index[e.label]] = 1.0
+
+    n, dim = X.shape
+    lam = 1.0 / (C * n)
+    W = np.zeros((len(labels), dim))
+    b = np.zeros(len(labels))
+    W_sum = np.zeros_like(W)
+    b_sum = np.zeros_like(b)
+    rng = np.random.default_rng(seed)
+    t = 0
+    for _ in range(epochs):
+        for i in rng.permutation(n):
+            t += 1
+            eta = 1.0 / (lam * t)
+            x = X[i]
+            margins = Y[i] * (W @ x + b)
+            W *= 1.0 - eta * lam
+            viol = margins < 1.0
+            if viol.any():
+                W[viol] += (eta * Y[i, viol])[:, None] * x[None]
+                b[viol] += eta * Y[i, viol]
+            W_sum += W
+            b_sum += b
+    return SvmModel(weights=W_sum / t, biases=b_sum / t, labels=labels)
+
+
+def clustered_problem(rng, n, dim, classes, spread=1.0):
+    """Normal features around one random centre per class; every class present."""
+    label = rng.permutation(np.arange(n) % classes)
+    X = rng.normal(0, 1, (n, dim)) + spread * rng.normal(0, 1, (classes, dim))[label]
+    return [LabeledVideo(X[j], f"class{label[j]}", "x") for j in range(n)]
 
 
 def separable_blobs(seed=0, per_class=20, gap=4.0):
@@ -52,10 +95,88 @@ class TestTrain:
         (dict(C=0.0), "C must be > 0, got 0.0"),
         (dict(C=-1.0), "C must be > 0, got -1.0"),
         (dict(epochs=0), "epochs must be >= 1, got 0"),
+        (dict(C=np.inf), "C must be finite .* got C = inf for n = 40"),
+        (dict(C=1e308), r"got C = 1e\+308 for n = 40 and 2000 steps \(lambda = 1/\(C\*n\) = 0.0\)"),
+        (dict(C=1e-320), r"got C = 1e-320 for n = 40 and 2000 steps \(lambda = 1/\(C\*n\) = inf\)"),
+        (dict(C=np.nan), "C must be > 0, got nan"),
+        (dict(epochs=2.5), "epochs must be an integer, got 2.5"),
+        (dict(epochs=True), "epochs must be an integer, got True"),
     ])
     def test_bad_parameter_rejected_with_value(self, kwargs, named):
         with pytest.raises(ValueError, match=named):
             train(separable_blobs(), **kwargs)
+
+    @pytest.mark.parametrize("row, fv, named", [
+        (3, [0.0, np.nan], "example 3 feature 1 is not finite: nan"),
+        (0, [-np.inf, 1.0], "example 0 feature 0 is not finite: -inf"),
+        (5, [1.0, 2.0, 3.0], r"example 5 has feature shape \(3,\)"),
+        (7, [1.0], r"example 7 has feature shape \(1,\)"),
+        (0, [[1.0, 2.0]], r"example 0 has feature shape \(1, 2\)"),
+    ], ids=["nan", "neg_inf", "longer", "shorter", "matrix"])
+    def test_bad_feature_named(self, row, fv, named):
+        examples = separable_blobs()
+        examples[row] = LabeledVideo(np.array(fv), examples[row].label, examples[row].actor)
+        with pytest.raises(ValueError, match=named):
+            train(examples)
+
+    def test_numpy_integer_epochs_accepted(self):
+        model = train(separable_blobs(), epochs=np.int64(3))
+        oracle = train_oracle(separable_blobs(), epochs=3)
+        assert np.allclose(model.weights, oracle.weights, rtol=0, atol=1e-12)
+
+
+class TestTrainOracle:
+    """`train` against the per-step loop it replaced.
+
+    Features are normal draws, so no margin lands exactly on 1 where the
+    regrouped sums could round a comparison the other way; the sample order,
+    the updates and the running biases are the oracle's, so only the
+    weights' rounding differs.
+    """
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 61))
+        classes = int(rng.integers(2, min(6, n) + 1))
+        examples = clustered_problem(rng, n, int(rng.integers(1, 301)), classes)
+        C = float(10.0 ** rng.uniform(-3, 2))
+        epochs = int(rng.integers(1, 21))
+        model = train(examples, C=C, epochs=epochs, seed=seed)
+        oracle = train_oracle(examples, C=C, epochs=epochs, seed=seed)
+        assert model.labels == oracle.labels
+        scale = max(np.abs(oracle.weights).max(), np.abs(oracle.biases).max())
+        assert np.abs(model.weights - oracle.weights).max() <= 1e-9 * scale
+        assert np.array_equal(model.biases, oracle.biases)
+
+    def test_loao_encode_sized_problem(self):
+        rng = np.random.default_rng(11)
+        examples = clustered_problem(rng, 240, 2784, 6, spread=0.1)
+        for e in examples:
+            e.fv[:] /= np.linalg.norm(e.fv)
+        fit, held_out = examples[:180], examples[180:]
+        model = train(fit, C=0.01, epochs=20, seed=3)
+        oracle = train_oracle(fit, C=0.01, epochs=20, seed=3)
+        assert np.abs(model.weights - oracle.weights).max() <= 1e-9 * np.abs(oracle.weights).max()
+        assert np.array_equal(model.biases, oracle.biases)
+        predictions = [predict(model, e.fv) for e in examples]
+        assert predictions == [predict(oracle, e.fv) for e in examples]
+        assert 0.3 < np.mean([p == e.label for p, e in zip(predictions[180:], held_out)]) < 1.0
+
+    def test_step_cost_does_not_grow_with_dimension(self):
+        # 800 steps at D = 20 000: the loop touches (C, D) arrays three times a
+        # step, `train` only one row of the 40 × 40 Gram matrix
+        examples = clustered_problem(np.random.default_rng(5), 40, 20_000, 6)
+
+        def best_of(runs, fn):
+            times = []
+            for _ in range(runs):
+                t0 = time.perf_counter()
+                fn(examples, C=1.0, epochs=20, seed=0)
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        assert best_of(3, train) < best_of(1, train_oracle) / 3
 
 
 class TestPredict:

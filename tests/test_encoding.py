@@ -7,9 +7,41 @@ from hypothesis import strategies as st
 
 from trailblaze import encoding
 from trailblaze.encoding import (
-    FisherCodebook, _fv_blocks, _log_responsibilities, fisher_vector, fit_gmm,
-    gmm_log_likelihood,
+    FisherCodebook, _fv_blocks, _kmeanspp_centers, _log_responsibilities, fisher_vector,
+    fit_gmm, gmm_log_likelihood,
 )
+
+
+def kmeanspp_centers_oracle(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    n = len(X)
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[rng.integers(n)]
+    d2 = ((X - centers[0]) ** 2).sum(axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centers[i] = X[rng.integers(n)]
+            continue
+        centers[i] = X[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, ((X - centers[i]) ** 2).sum(axis=1))
+    return centers
+
+
+class RecordingRng:
+    """The two draws k-means++ makes, with the picked rows and weights kept."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.picks, self.weights = [], []
+
+    def integers(self, n):
+        self.picks.append(int(self.rng.integers(n)))
+        return self.picks[-1]
+
+    def choice(self, n, p):
+        self.weights.append(p.copy())
+        self.picks.append(int(self.rng.choice(n, p=p)))
+        return self.picks[-1]
 
 
 def log_responsibilities_oracle(X, weights, means, variances):
@@ -151,6 +183,59 @@ class TestFitGmm:
         X = np.tile([[1.0, 2.0]], (10, 1))  # zero variance data
         cb = fit_gmm(X, k=1)
         assert np.all(cb.variances >= 1e-6)
+
+
+def kmeanspp_pool(kind, seed):
+    rng = np.random.default_rng(seed)
+    T, N = int(rng.integers(1, 400)), int(rng.integers(1, 90))
+    X = rng.normal(0, 10.0 ** rng.uniform(-3, 3), (T, N))
+    if kind == "duplicates":
+        X = X[rng.integers(0, max(1, T // 4), T)]
+    elif kind == "identical":
+        X = np.tile(X[:1], (T, 1))
+    elif kind == "offset":
+        X += 1e6
+    return X, int(rng.integers(1, min(T, 20) + 1))
+
+
+class TestKmeansppOracle:
+    """The expanded-distance seeding against the per-pass (X − c)² code it
+    replaced: same draws, same rows."""
+
+    @pytest.mark.parametrize("kind", ["continuous", "duplicates", "identical", "offset"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_picks_oracle_indices(self, kind, seed):
+        X, k = kmeanspp_pool(kind, seed)
+        got, want = RecordingRng(seed), RecordingRng(seed)
+        centers = _kmeanspp_centers(X, k, got)
+        assert np.array_equal(centers, kmeanspp_centers_oracle(X, k, want))
+        assert got.picks == want.picks
+        assert np.array_equal(centers, X[got.picks])
+
+    def test_loao_encode_sized_pool(self):
+        X = np.random.default_rng(3).normal(0, 1, (7200, 87))
+        got, want = RecordingRng(3), RecordingRng(3)
+        _kmeanspp_centers(X, 16, got)
+        kmeanspp_centers_oracle(X, 16, want)
+        assert got.picks == want.picks
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rows_equal_to_a_centre_keep_zero_weight(self, seed):
+        rng = np.random.default_rng(seed)
+        X = 1e3 + rng.normal(0, 1e-2, (6, 9))[rng.integers(0, 6, 300)]
+        draws = RecordingRng(seed)
+        _kmeanspp_centers(X, 6, draws)
+        assert len(draws.weights) == 5
+        for j, p in enumerate(draws.weights):
+            chosen = (X[:, None, :] == X[draws.picks[:j + 1]][None]).all(axis=2).any(axis=1)
+            assert np.all(p[chosen] == 0.0) and np.all(p[~chosen] > 0.0)
+
+    @pytest.mark.parametrize("value", [0.1, -3.7e5, 0.0])
+    def test_identical_pool_draws_uniformly(self, value):
+        draws = RecordingRng(0)
+        centers = _kmeanspp_centers(np.full((50, 4), value), 5, draws)
+        assert draws.weights == [] and len(draws.picks) == 5
+        assert np.all(centers == value)
 
 
 class TestKernelOracles:

@@ -109,6 +109,15 @@ class TestDescribe:
             b = describe(pts, r=r + 1)
             assert np.array_equal(b.values[:a.values.size], a.values)
 
+    @pytest.mark.parametrize("r", range(1, 8))
+    def test_bytes_equal_np_diff(self, r):
+        rng = np.random.default_rng(r)
+        for _ in range(50):
+            l, n = int(rng.integers(r, 20)), int(rng.integers(1, 4))
+            pts = np.round(rng.normal(0, 5, (l + 1, n)), int(rng.integers(0, 3)))
+            want = [np.diff(pts, k, axis=0).ravel() for k in range(1, r + 1)]
+            assert describe(pts, r=r).values.tobytes() == np.concatenate(want).tobytes()
+
     def test_composition_equals_iterated_first_order(self):
         rng = np.random.default_rng(2)
         pts = rng.normal(0, 5, (9, 2))
