@@ -83,6 +83,15 @@ def _gradients(img: np.ndarray) -> tuple:
     return tuple(np.gradient(img)[::-1])
 
 
+def _unit_pair(prev, next) -> tuple:
+    """Both frames as float64 grayscale in 0-1 units; they must share dimensions."""
+    img0 = _gray(prev) / 255.0
+    img1 = _gray(next) / 255.0
+    if img0.shape != img1.shape:
+        raise ValueError(f"frames must share dimensions, got {img0.shape} and {img1.shape}")
+    return img0, img1
+
+
 def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if pts.shape == (0,):
@@ -106,14 +115,12 @@ def lk_track(prev, next, points, levels: int = 3, window: int = 15) -> list:
     too weak (smaller eigenvalue below 1e-4 * window^2).  When no window
     fits in the frame at the start, no pyramid is built.
     """
-    img0 = _gray(prev) / 255.0
-    img1 = _gray(next) / 255.0
-    if img0.shape != img1.shape:
-        raise ValueError("frames must share dimensions")
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    if window < 5 or window % 2 == 0:
-        raise ValueError("window must be odd and >= 5")
+    img0, img1 = _unit_pair(prev, next)
+    if isinstance(levels, bool) or not isinstance(levels, numbers.Integral) or levels < 1:
+        raise ValueError(f"levels must be an integer >= 1, got {levels!r}")
+    if (isinstance(window, bool) or not isinstance(window, numbers.Integral)
+            or window < 5 or window % 2 == 0):
+        raise ValueError(f"window must be an odd integer >= 5, got {window!r}")
     pts = _as_points(points)
     if len(pts) == 0:
         return []
@@ -189,8 +196,9 @@ def lk_track(prev, next, points, levels: int = 3, window: int = 15) -> list:
 
 
 def _poly_basis(n: int, sigma: float):
-    """1-D applicability kernels (g, x·g, x²·g) and the inverse metric of the
-    basis (1, x, y, x², y², xy) under the separable Gaussian weight."""
+    """1-D applicability kernels (g, x·g, x²·g) and the projection onto
+    (A11, A12, A22, b1, b2): rows (x², xy, y², x, y) of the inverse metric of
+    the basis (1, x, y, x², y², xy) under the separable Gaussian weight."""
     half = n // 2
     xs = np.arange(-half, half + 1, dtype=np.float64)
     g = np.exp(-(xs ** 2) / (2.0 * sigma ** 2))
@@ -208,10 +216,12 @@ def _poly_basis(n: int, sigma: float):
         [m2, 0.0, 0.0, m2 * m2, m4, 0.0],
         [0.0, 0.0, 0.0, 0.0, 0.0, m2 * m2],
     ])
-    return (g, xg, x2g), np.linalg.inv(G)
+    rows = np.linalg.inv(G)[[3, 5, 4, 1, 2]]
+    rows[1] /= 2.0  # A12 is half the xy coefficient; a power-of-two scale is exact
+    return (g, xg, x2g), rows
 
 
-_POLY_KERNELS, _POLY_GINV = _poly_basis(FB_POLY_N, FB_POLY_SIGMA)
+_POLY_KERNELS, _POLY_ROWS = _poly_basis(FB_POLY_N, FB_POLY_SIGMA)
 
 
 def _poly_expand(img: np.ndarray) -> np.ndarray:
@@ -235,10 +245,7 @@ def _poly_expand(img: np.ndarray) -> np.ndarray:
         across(by_x2g, g),   # <y^2, f>
         across(by_xg, xg),   # <xy, f>
     ])
-    r = np.einsum("ij,jhw->ihw", _POLY_GINV, v)
-    out = r[[3, 5, 4, 1, 2]]
-    out[1] /= 2.0
-    return out
+    return np.einsum("ij,jhw->ihw", _POLY_ROWS, v)
 
 
 def _expansions(img: np.ndarray) -> tuple:
@@ -284,11 +291,7 @@ def farneback_flow(prev, next) -> FlowField:
     solves the window-averaged expansion-difference equations and is refined
     FB_ITERATIONS times per level, coarse to fine.
     """
-    img0 = _gray(prev) / 255.0
-    img1 = _gray(next) / 255.0
-    if img0.shape != img1.shape:
-        raise ValueError("frames must share dimensions")
-
+    img0, img1 = _unit_pair(prev, next)
     exp0 = _expansions(img0)
     exp1 = _expansions(img1)
     u = np.zeros(exp0[-1].shape[1:])

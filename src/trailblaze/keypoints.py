@@ -1,9 +1,10 @@
 """FAST corners, gradient-orientation patch descriptors, reciprocal matching.
 
 Images are Frames (color ones converted to grayscale) or 2-D arrays in 0-255
-units.  The descriptor histogram is one ``bincount`` over the patch, and the
-matcher runs its ratio test on whole rows and columns at once, after
-computing the distances in row blocks of bounded size.
+units.  The segment test ANDs rotations of the ring masks, the descriptor
+histogram is one ``bincount`` over the patch, and the matcher computes its
+distances one row of ``a`` at a time and runs its ratio test on whole rows
+and columns at once.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ CIRCLE = [(0, -3), (1, -3), (2, -2), (3, -1), (3, 0), (3, 1), (2, 2), (1, 3),
 DESCRIPTOR_DIM = 128  # 4x4 cells x 8 orientation bins
 FAST_ARC = 9          # contiguous circle pixels that make a corner
 MATCH_RATIO = 0.8     # Lowe's ratio test: best distance < MATCH_RATIO * second best
-MATCH_CHUNK_BYTES = 8 << 20  # cap on the (rows, nb, D) difference block of the matcher
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,17 @@ class Corner:
     x: int
     y: int
     score: float
+
+
+def _has_arc(mask: np.ndarray) -> np.ndarray:
+    """True where the (16, ...) ring mask holds FAST_ARC contiguous True
+    entries, the ring wrapping around: the AND of its first FAST_ARC
+    rotations, each a window of the ring extended by its own start."""
+    ring = np.concatenate([mask, mask[:FAST_ARC - 1]])
+    arc = mask.copy()
+    for k in range(1, FAST_ARC):
+        arc &= ring[k:k + len(mask)]
+    return arc.any(axis=0)
 
 
 def detect_fast(gray, threshold: float = 20.0) -> list:
@@ -40,25 +51,14 @@ def detect_fast(gray, threshold: float = 20.0) -> list:
     h, w = img.shape
     if h < 7 or w < 7:
         raise ValueError(f"frame {w}x{h} smaller than 7x7")
-    if threshold <= 0:
-        raise ValueError("threshold must be > 0")
+    if not 0 < threshold < np.inf:
+        raise ValueError(f"threshold must be a finite number > 0, got {threshold!r}")
 
     center = img[3:h - 3, 3:w - 3]
     ring = np.stack([img[3 + dy:h - 3 + dy, 3 + dx:w - 3 + dx] for dx, dy in CIRCLE])
     brighter = ring > center + threshold
     darker = ring < center - threshold
-
-    def has_arc(mask):
-        # max run length over the wrapped ring
-        doubled = np.concatenate([mask, mask], axis=0)
-        run = np.zeros(mask.shape[1:], dtype=np.int32)
-        best = np.zeros_like(run)
-        for k in range(2 * len(CIRCLE)):
-            run = np.where(doubled[k], run + 1, 0)
-            best = np.maximum(best, run)
-        return np.minimum(best, len(CIRCLE)) >= FAST_ARC
-
-    is_corner = has_arc(brighter) | has_arc(darker)
+    is_corner = _has_arc(brighter) | _has_arc(darker)
     if not is_corner.any():
         return []
 
@@ -80,8 +80,9 @@ def describe_patch(gray, p, patch: int = 16) -> np.ndarray:
     histograms over a 4x4 cell grid, L2-normalized, entries clamped at 0.2
     and renormalized.  A gradient-free patch yields the zero vector.
     """
-    if patch < 4 or patch % 4:
-        raise ValueError(f"patch must be a positive multiple of 4, got {patch}")
+    if (isinstance(patch, bool) or not isinstance(patch, (int, np.integer))
+            or patch < 4 or patch % 4):
+        raise ValueError(f"patch must be a positive multiple of 4, got {patch!r}")
     img = _gray(gray)
     h, w = img.shape
     half = patch // 2
@@ -117,18 +118,8 @@ def match_reciprocal(a, b) -> list:
         return []
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"descriptor widths differ: a is {A.shape}, b is {B.shape}")
-    # squared distances a block of rows at a time, so the difference array
-    # stays under MATCH_CHUNK_BYTES whatever the set sizes
-    d2 = np.empty((A.shape[0], B.shape[0]))
-    step = min(A.shape[0], max(1, MATCH_CHUNK_BYTES // (B.shape[0] * B.shape[1] * 8)))
-    diff = np.empty((step,) + B.shape)
-    for i in range(0, A.shape[0], step):
-        rows = A[i:i + step]
-        block = diff[:len(rows)]
-        np.subtract(rows[:, None, :], B, out=block)
-        np.square(block, out=block)
-        d2[i:i + step] = block.sum(axis=2)
-    d = np.sqrt(np.maximum(d2, 0.0))
+    # one row of a at a time, so the difference array is only (nb, D)
+    d = np.sqrt([np.square(row - B).sum(axis=1) for row in A])
 
     rows = np.arange(A.shape[0])
     nn_ab = np.argmin(d, axis=1)  # first index on ties

@@ -39,14 +39,6 @@ class Frame:
             raise ValueError(f"frame sides must be >= 1, got shape {shape}")
 
     @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
     def channels(self) -> int:
         return 1 if self.data.ndim == 2 else 3
 
@@ -78,7 +70,9 @@ def _gray(image) -> np.ndarray:
     """Grayscale intensities as float64 (h, w) in 0-255 units.
 
     A colour Frame is weighted with BT.601 and rounded half-up to whole
-    levels; a grey Frame or a 2-D array is cast to float64.
+    levels; a grey Frame or a 2-D array is cast to float64.  This is the
+    pixel gate of every layer: an array with a NaN or infinite pixel is a
+    ValueError naming the first one (a Frame is uint8, so always finite).
     """
     if isinstance(image, Frame) and image.channels == 3:
         rgb = image.data.astype(np.float64)
@@ -87,6 +81,9 @@ def _gray(image) -> np.ndarray:
     arr = np.asarray(image.data if isinstance(image, Frame) else image, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a Frame or a 2-D grayscale array, got shape {arr.shape}")
+    if not isinstance(image, Frame) and not np.isfinite(arr).all():
+        y, x = np.argwhere(~np.isfinite(arr))[0]
+        raise ValueError(f"pixel (x={x}, y={y}) is not finite: {arr[y, x]}")
     return arr
 
 
@@ -278,7 +275,7 @@ class SceneSpec:
             raise ValueError("baseline and focal must be > 0")
         for name, least in (("width", 1), ("height", 1), ("frames", 2), ("seed", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= least):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         if not self.noise_sigma >= 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
@@ -298,9 +295,8 @@ class SceneSpec:
                 raise ValueError(f"object {i} ({obj.kind}) never projects inside the image")
 
 
-# canonical form (unit norm, first largest |entry| positive); negated so that
-# its zeros are -0.0 and stored F values of earlier releases stay byte-equal
-_RECTIFIED_F = -np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]) / math.sqrt(2.0)
+# canonical form: unit norm, first largest |entry| positive
+_RECTIFIED_F = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]]) / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -377,8 +373,8 @@ def synth_stereo(spec: SceneSpec, clip_id: str = "scene") -> tuple:
             _paint_sprite(ri, tex, (u - half - d, v - half))
         li += rng.normal(0.0, spec.noise_sigma, li.shape)
         ri += rng.normal(0.0, spec.noise_sigma, ri.shape)
-        left_frames.append(Frame.from_array(np.clip(np.round(li), 0, 255)))
-        right_frames.append(Frame.from_array(np.clip(np.round(ri), 0, 255)))
+        left_frames.append(Frame.from_array(li))
+        right_frames.append(Frame.from_array(ri))
 
     left = Clip(tuple(left_frames), clip_id=clip_id)
     right = Clip(tuple(right_frames), clip_id=clip_id)

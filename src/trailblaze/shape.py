@@ -40,8 +40,8 @@ def describe(traj, r: int) -> ShapeDescriptor:
         raise ValueError(f"trajectory point {bad} is not finite: {pts[bad].tolist()}")
     l = len(pts) - 1
     n = pts.shape[1]
-    if r < 1:
-        raise ValueError("order must be >= 1")
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1:
+        raise ValueError(f"order must be an integer >= 1, got {r!r}")
     if r > l:
         raise ValueError(f"order {r} exceeds trajectory length {l}")
     if r > MAX_ORDER:

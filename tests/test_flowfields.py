@@ -387,6 +387,36 @@ class TestLkTrack:
         with pytest.raises(ValueError, match="dimensions"):
             lk_track(np.zeros((20, 20)), np.zeros((30, 30)), [(10, 10)])
 
+    @pytest.mark.parametrize("kw, message", [
+        (dict(levels=2.5), "levels must be an integer >= 1, got 2.5"),
+        (dict(levels=True), "levels must be an integer >= 1, got True"),
+        (dict(levels=0), "levels must be an integer >= 1, got 0"),
+        (dict(window=9.0), "window must be an odd integer >= 5, got 9.0"),
+        (dict(window=True), "window must be an odd integer >= 5, got True"),
+        (dict(window=8), "window must be an odd integer >= 5, got 8"),
+        (dict(window=3), "window must be an odd integer >= 5, got 3"),
+    ])
+    def test_bad_parameter_named(self, kw, message):
+        img = smooth_texture(2)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            lk_track(img, img, [(40.0, 40.0)], **kw)
+
+    def test_numpy_integer_parameters_accepted(self):
+        img = smooth_texture(3)
+        moved = warp_by(img, 1.3, 0.8)
+        pts = interior_corners(img, 20)[:6]
+        want = lk_track(img, moved, pts, levels=2, window=9)
+        assert lk_track(img, moved, pts, levels=np.int64(2), window=np.int32(9)) == want
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_non_finite_pixel_named(self, which):
+        frames = [smooth_texture(2), smooth_texture(2)]
+        frames[which][33, 44] = np.nan
+        with pytest.raises(ValueError, match=r"pixel \(x=44, y=33\) is not finite"):
+            lk_track(*frames, [(40.0, 40.0)])
+        with pytest.raises(ValueError, match=r"pixel \(x=44, y=33\) is not finite"):
+            farneback_flow(*frames)
+
     def test_deterministic(self):
         img = smooth_texture(3)
         moved = warp_by(img, 1.3, 0.8)

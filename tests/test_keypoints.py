@@ -22,7 +22,30 @@ def segment_test_oracle(img, x, y, threshold):
     return False
 
 
+def run_length_arc_oracle(mask):
+    """The run-length walk over the doubled ring that detect_fast used before
+    it ANDed rotations: longest run of True, capped at the ring size, against
+    FAST_ARC."""
+    doubled = np.concatenate([mask, mask], axis=0)
+    run = np.zeros(mask.shape[1:], dtype=np.int32)
+    best = np.zeros_like(run)
+    for k in range(2 * len(CIRCLE)):
+        run = np.where(doubled[k], run + 1, 0)
+        best = np.maximum(best, run)
+    return np.minimum(best, len(CIRCLE)) >= keypoints.FAST_ARC
+
+
 class TestDetectFast:
+    def test_arc_test_matches_run_length_oracle_on_every_ring(self):
+        # bit k of a pattern is ring pixel k: all 2^16 rings side by side
+        patterns = np.arange(2 ** 16)
+        mask = ((patterns >> np.arange(len(CIRCLE))[:, None]) & 1).astype(bool)
+        got = keypoints._has_arc(mask[:, None, :])
+        assert np.array_equal(got, run_length_arc_oracle(mask[:, None, :]))
+        # nine in a row, nine wrapping past pixel 15, and only eight
+        assert got[0, 0b0000000111111111] and got[0, 0b1111000000011111]
+        assert not got[0, 0b0000000011111111]
+
     def test_uniform_frame_no_corners(self):
         assert detect_fast(np.full((32, 32), 80.0)) == []
 
@@ -61,6 +84,18 @@ class TestDetectFast:
         a = detect_fast(img, threshold=25.0)
         b = detect_fast(img + 40.0, threshold=25.0)
         assert [(c.x, c.y) for c in a] == [(c.x, c.y) for c in b]
+
+    @pytest.mark.parametrize("threshold", [0.0, -5.0, np.nan, np.inf])
+    def test_bad_threshold_named(self, threshold):
+        with pytest.raises(ValueError, match=rf"threshold must be .*, got {threshold!r}"):
+            detect_fast(np.full((16, 16), 80.0), threshold=threshold)
+
+    def test_non_finite_pixel_named(self):
+        # a single NaN pixel gave hundreds of corners: every comparison with it is False
+        img = np.random.default_rng(1).uniform(0, 255, (48, 64))
+        img[20, 30] = np.nan
+        with pytest.raises(ValueError, match=r"pixel \(x=30, y=20\) is not finite"):
+            detect_fast(img)
 
     def test_small_frame_rejected(self):
         with pytest.raises(ValueError, match="smaller than 7x7"):
@@ -134,10 +169,21 @@ class TestDescribePatch:
         if texture == "flat":
             assert np.all(got == 0.0)
 
-    @pytest.mark.parametrize("patch", [0, 2, 6, 18])
+    @pytest.mark.parametrize("patch", [0, 2, 6, 18, 16.0, True])
     def test_patch_not_multiple_of_4_rejected(self, patch):
         with pytest.raises(ValueError, match=f"got {patch}"):
             describe_patch(np.zeros((40, 40)), (20, 20), patch=patch)
+
+    def test_numpy_integer_patch_accepted(self):
+        img = np.random.default_rng(2).uniform(0, 255, (40, 40))
+        assert np.array_equal(describe_patch(img, (20, 20), patch=np.int64(8)),
+                              describe_patch(img, (20, 20), patch=8))
+
+    def test_non_finite_pixel_named(self):
+        img = np.random.default_rng(3).uniform(0, 255, (40, 40))
+        img[25, 18] = np.inf
+        with pytest.raises(ValueError, match=r"pixel \(x=18, y=25\) is not finite: inf"):
+            describe_patch(img, (20, 20))
 
     def test_uniform_patch_zero_vector(self):
         img = np.full((32, 32), 90.0)
@@ -305,13 +351,10 @@ class TestMatchReciprocal:
         b = np.array([[0.5, 0.0]])
         assert match_with_ratio(a, b, 0.5) == [(0, 0)]
 
-    @pytest.mark.parametrize("chunk_rows", [1, 3, None], ids=["one_row", "ragged", "default"])
-    def test_row_blocks_match_oracle(self, chunk_rows, monkeypatch):
+    def test_row_distances_match_oracle(self):
         rng = np.random.default_rng(23)
         a, b = rng.integers(0, 3, (23, 8)).astype(float), rng.integers(0, 3, (17, 8)).astype(float)
         b[:5] = a[:5]
-        if chunk_rows is not None:
-            monkeypatch.setattr(keypoints, "MATCH_CHUNK_BYTES", chunk_rows * b.size * 8)
         assert match_reciprocal(a, b) == match_reciprocal_oracle(a, b, keypoints.MATCH_RATIO)
 
     def test_difference_array_memory_is_capped(self):

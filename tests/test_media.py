@@ -85,7 +85,7 @@ class TestFrame:
     def test_sizes_come_from_data(self, shape, channels):
         f = Frame(np.zeros(shape, dtype=np.uint8))
         assert [field.name for field in dataclasses.fields(f)] == ["data"]
-        assert (f.width, f.height, f.channels) == (5, 4, channels)
+        assert (f.data.shape[:2], f.channels) == ((4, 5), channels)
 
     def test_clip_frames_must_share_shape(self):
         gray = Frame(np.zeros((4, 5), dtype=np.uint8))
@@ -124,6 +124,13 @@ class TestGray:
     def test_other_shape_rejected_with_shape(self):
         with pytest.raises(ValueError, match=r"\(4, 5, 3\)"):
             media._gray(np.zeros((4, 5, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_names_first_pixel(self, bad):
+        arr = np.full((6, 8), 50.0)
+        arr[4, 2] = arr[5, 7] = bad
+        with pytest.raises(ValueError, match=rf"pixel \(x=2, y=4\) is not finite: {bad}"):
+            media._gray(arr)
 
 
 class TestBilinear:
@@ -178,7 +185,7 @@ class TestClipIO:
     def test_loader_contract(self, tmp_path):
         write_clip(self.make_clip(), tmp_path / "c")
         clip = load_clip(tmp_path / "c")
-        assert len(clip.frames) == 3 and clip.frames[0].width == 64
+        assert len(clip.frames) == 3 and clip.frames[0].data.shape[1] == 64
         assert clip.clip_id == "c"
 
     def test_empty_directory(self, tmp_path):
@@ -308,7 +315,8 @@ class TestSceneSpec:
         ("width", 0), ("height", 0), ("width", -3), ("noise_sigma", -1.0),
         ("noise_sigma", float("nan")), ("patch", 0), ("patch", 1.5), ("patch", -2),
         ("width", 64.5), ("height", 48.0), ("frames", 2.5), ("frames", 1), ("frames", "6"),
-        ("seed", -1), ("seed", 1.5), ("background", float("nan")),
+        ("seed", -1), ("seed", 1.5), ("background", float("nan")), ("width", True),
+        ("height", np.bool_(True)), ("frames", True),
         ("background", float("inf")), ("background", None),
     ])
     def test_bad_value_names_field(self, field, value):

@@ -54,6 +54,15 @@ class TestBackgroundModel:
         with pytest.raises(ValueError, match="match"):
             update_and_subtract(model, np.zeros((5, 5)))
 
+    def test_non_finite_pixel_named(self):
+        model = BackgroundModel.initialize(np.zeros((10, 10)))
+        frame = np.zeros((10, 10))
+        frame[3, 6] = np.nan
+        with pytest.raises(ValueError, match=r"pixel \(x=6, y=3\)"):
+            update_and_subtract(model, frame)
+        with pytest.raises(ValueError, match=r"pixel \(x=6, y=3\)"):
+            BackgroundModel.initialize(frame)
+
 
 def update_and_subtract_oracle(model: BackgroundModel, frame) -> tuple:
     """update_and_subtract as it was with a rank inversion and put_along_axis picks."""

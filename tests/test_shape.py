@@ -77,6 +77,15 @@ class TestDescribe:
         with pytest.raises(ValueError, match=f"point {row} is not finite"):
             describe(pts, r=2)
 
+    @pytest.mark.parametrize("r", [2.0, True, 0, "2"])
+    def test_bad_order_named(self, r):
+        with pytest.raises(ValueError, match=rf"order must be an integer >= 1, got {r!r}"):
+            describe(np.zeros((6, 2)), r=r)
+
+    def test_numpy_integer_order_accepted(self):
+        pts = np.arange(12.0).reshape(6, 2) ** 2
+        assert np.array_equal(describe(pts, r=np.int64(2)).values, describe(pts, r=2).values)
+
     def test_order_cap(self):
         with pytest.raises(ValueError, match="maximum"):
             describe(np.zeros((20, 2)), r=8)
