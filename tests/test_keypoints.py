@@ -351,10 +351,14 @@ class TestMatchReciprocal:
         b = np.array([[0.5, 0.0]])
         assert match_with_ratio(a, b, 0.5) == [(0, 0)]
 
-    def test_row_distances_match_oracle(self):
+    @pytest.mark.parametrize("rows", [1, 3, None], ids=["one_row", "ragged", "default"])
+    def test_row_blocks_match_oracle(self, rows):
+        # a block of one row of a, of three, and of all 23 against 17 rows of b;
+        # coarse values and copied rows tie exactly
         rng = np.random.default_rng(23)
         a, b = rng.integers(0, 3, (23, 8)).astype(float), rng.integers(0, 3, (17, 8)).astype(float)
         b[:5] = a[:5]
+        a = a[:rows]
         assert match_reciprocal(a, b) == match_reciprocal_oracle(a, b, keypoints.MATCH_RATIO)
 
     def test_difference_array_memory_is_capped(self):
