@@ -12,13 +12,13 @@ biases once from the recorded updates at the end.
 from __future__ import annotations
 
 import math
-import numbers
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .encoding import fisher_vector, fit_gmm
+from .media import _count, _finite
 
 GMM_MAX_POINTS = 100_000  # a fold's codebook is fit on at most this many descriptors
 
@@ -95,10 +95,7 @@ def train(examples, C: float = 1.0, epochs: int = 50, seed: int = 0) -> SvmModel
     """
     if not C > 0:
         raise ValueError(f"C must be > 0, got {C}")
-    if isinstance(epochs, bool) or not isinstance(epochs, numbers.Integral):
-        raise ValueError(f"epochs must be an integer, got {epochs!r}")
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    _count("epochs", epochs)
     examples = list(examples)
     labels = tuple(sorted({e.label for e in examples}))
     if len(labels) < 2:
@@ -142,9 +139,7 @@ def _feature_matrix(examples) -> np.ndarray:
             raise ValueError(f"example {i} has feature shape {fv.shape}, "
                              f"expected a vector like example 0's {fvs[0].shape}")
     X = np.stack(fvs)
-    if not np.isfinite(X).all():
-        i, j = np.argwhere(~np.isfinite(X))[0]
-        raise ValueError(f"example {i} feature {j} is not finite: {X[i, j]}")
+    _finite(X, "example {0} feature {1}")
     return X
 
 
@@ -154,9 +149,7 @@ def predict(model: SvmModel, fv) -> str:
     if x.shape != (model.weights.shape[1],):
         raise ValueError(f"feature dimension {x.shape} does not match model "
                          f"{model.weights.shape[1]}")
-    if not np.isfinite(x).all():
-        bad = np.flatnonzero(~np.isfinite(x))[0]
-        raise ValueError(f"feature {bad} is not finite: {x[bad]}")
+    _finite(x, "feature {0}")
     scores = model.weights @ x + model.biases
     return model.labels[int(np.argmax(scores))]
 

@@ -20,10 +20,11 @@ gradients are ``Σγ(x − μ) = γᵀ(X − c) − nₖ(μ − c)`` and
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .media import _count, _finite
 
 VARIANCE_FLOOR = 1e-6
 EM_TOL = 1e-6
@@ -117,25 +118,19 @@ def _moments(X, gamma, c):
     return gamma.sum(axis=0), gamma.T @ Xc, gamma.T @ np.square(Xc, out=Xc)
 
 
-def _check_count(name, value):
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 def fit_gmm(descriptors, k: int, seed: int = 0, max_iters: int = 100) -> FisherCodebook:
     """EM fit of a K-component diagonal GMM, k-means++ initialized.
 
     The log-likelihood is checked to be non-decreasing at every iteration;
     a drop raises a `RuntimeError` naming the iteration and both values.
     """
-    _check_count("k", k)
-    _check_count("max_iters", max_iters)
+    _count("k", k)
+    _count("max_iters", max_iters)
     X = np.asarray(descriptors, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] == 0:
         raise ValueError(f"descriptors must be a 2-D array with at least one column, "
                          f"got shape {X.shape}")
-    if not np.isfinite(X).all():
-        raise ValueError("descriptors contain non-finite values")
+    _finite(X, "descriptor {0} entry {1}")
     if len(X) < k:
         raise ValueError(f"need at least K={k} descriptors, got {len(X)}")
 
@@ -176,8 +171,7 @@ def fisher_vector(descriptors, codebook: FisherCodebook) -> np.ndarray:
     X = np.atleast_2d(X)
     if X.shape[1] != N:
         raise ValueError(f"descriptor dimension {X.shape[1]} does not match codebook {N}")
-    if not np.isfinite(X).all():
-        raise ValueError("descriptors contain non-finite values")
+    _finite(X, "descriptor {0} entry {1}")
     fv = _fv_blocks(X, codebook).ravel()
     fv = np.sign(fv) * np.sqrt(np.abs(fv))
     norm = np.linalg.norm(fv)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .media import _bilinear, _gray
+from .media import _REAL, _bilinear, _count, _finite, _gray
 
 BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
@@ -92,18 +92,6 @@ def _unit_pair(prev, next) -> tuple:
     return img0, img1
 
 
-def _as_points(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.shape == (0,):
-        return pts.reshape(0, 2)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
-    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
-    if bad.size:
-        raise ValueError(f"point {bad[0]} is not finite: {tuple(pts[bad[0]].tolist())}")
-    return pts
-
-
 def lk_track(prev, next, points, levels: int = 3, window: int = 15) -> list:
     """Track `points` (n, 2) from prev to next with iterative coarse-to-fine LK.
 
@@ -116,14 +104,16 @@ def lk_track(prev, next, points, levels: int = 3, window: int = 15) -> list:
     fits in the frame at the start, no pyramid is built.
     """
     img0, img1 = _unit_pair(prev, next)
-    if isinstance(levels, bool) or not isinstance(levels, numbers.Integral) or levels < 1:
-        raise ValueError(f"levels must be an integer >= 1, got {levels!r}")
+    _count("levels", levels)
     if (isinstance(window, bool) or not isinstance(window, numbers.Integral)
             or window < 5 or window % 2 == 0):
         raise ValueError(f"window must be an odd integer >= 5, got {window!r}")
-    pts = _as_points(points)
-    if len(pts) == 0:
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.shape in ((0,), (0, 2)):
         return []
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
+    _finite(pts, "point {0}")
     half = window // 2
     h, w = img0.shape
 
@@ -313,9 +303,6 @@ def farneback_flow(prev, next) -> FlowField:
             db2 = -0.5 * (wb2 - b2a) + A12 * u + A22 * v
             u, v = _solve_flow(A11, A12, A22, db1, db2)
     return FlowField(u=u, v=v)
-
-
-_REAL = (float, numbers.Real)  # float first: np.float64 skips the ABC check
 
 
 def sample_flow(field: FlowField, p) -> tuple:

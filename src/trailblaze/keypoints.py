@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .media import _gray
+from .media import _REAL, _finite, _gray
 
 # 16-pixel Bresenham circle of radius 3, clockwise from the top
 CIRCLE = [(0, -3), (1, -3), (2, -2), (3, -1), (3, 0), (3, 1), (2, 2), (1, 3),
@@ -51,7 +51,7 @@ def detect_fast(gray, threshold: float = 20.0) -> list:
     h, w = img.shape
     if h < 7 or w < 7:
         raise ValueError(f"frame {w}x{h} smaller than 7x7")
-    if not 0 < threshold < np.inf:
+    if isinstance(threshold, bool) or not (isinstance(threshold, _REAL) and 0 < threshold < np.inf):
         raise ValueError(f"threshold must be a finite number > 0, got {threshold!r}")
 
     center = img[3:h - 3, 3:w - 3]
@@ -78,16 +78,23 @@ def describe_patch(gray, p, patch: int = 16) -> np.ndarray:
 
     Central-difference gradients, magnitude-weighted 8-bin orientation
     histograms over a 4x4 cell grid, L2-normalized, entries clamped at 0.2
-    and renormalized.  A gradient-free patch yields the zero vector.
+    and renormalized.  A gradient-free patch yields the zero vector.  A point
+    that is not two finite real numbers (x, y) is a ValueError naming it.
     """
     if (isinstance(patch, bool) or not isinstance(patch, (int, np.integer))
             or patch < 4 or patch % 4):
         raise ValueError(f"patch must be a positive multiple of 4, got {patch!r}")
+    try:  # in Python scalars: this runs once per stereo candidate
+        x, y = (p[0], p[1]) if len(p) == 2 else (None, None)
+    except TypeError:
+        x = y = None
+    if not (isinstance(x, _REAL) and isinstance(y, _REAL) and abs(x) < np.inf and abs(y) < np.inf):
+        raise ValueError(f"point {p!r} is not two finite real numbers (x, y)")
     img = _gray(gray)
     h, w = img.shape
     half = patch // 2
-    x0 = int(round(p[0])) - half
-    y0 = int(round(p[1])) - half
+    x0 = int(round(x)) - half
+    y0 = int(round(y)) - half
     if x0 - 1 < 0 or y0 - 1 < 0 or x0 + patch + 1 > w or y0 + patch + 1 > h:
         raise ValueError(f"descriptor window at {p} outside frame")
 
@@ -118,6 +125,8 @@ def match_reciprocal(a, b) -> list:
         return []
     if A.shape[1] != B.shape[1]:
         raise ValueError(f"descriptor widths differ: a is {A.shape}, b is {B.shape}")
+    _finite(A, "a descriptor {0} entry {1}")
+    _finite(B, "b descriptor {0} entry {1}")
     # one row of a at a time, so the difference array is only (nb, D)
     d = np.sqrt([np.square(row - B).sum(axis=1) for row in A])
 

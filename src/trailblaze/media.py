@@ -1,13 +1,15 @@
-"""Frame and clip handling, the shared pixel helpers, and a
+"""Frame and clip handling, the shared pixel helpers and input rules, and a
 ground-truth-bearing synthetic stereo generator.
 
 Clips are directories of binary PGM (P5) / PPM (P6) frames named
 ``frame_000000.pgm`` onwards.  The layers that read pixels convert them with
 ``_gray`` (float64 grayscale in 0-255 units) and sample them with
-``_bilinear``.  The synthetic generator renders textured square sprites
-moving along parametric paths, seen by a rectified pinhole stereo pair with
-horizontal baseline, and reports exact per-frame projections, disparities
-and the fundamental matrix.
+``_bilinear``.  Every layer checks its inputs with the two shared rules
+``_count`` (an integer count) and ``_finite`` (no NaN or infinite entry).
+The synthetic generator renders textured square sprites moving along
+parametric paths, seen by a rectified pinhole stereo pair with horizontal
+baseline, and reports exact per-frame projections, disparities and the
+fundamental matrix.
 """
 
 from __future__ import annotations
@@ -21,6 +23,23 @@ from pathlib import Path
 import numpy as np
 
 GRAY_WEIGHTS = (0.299, 0.587, 0.114)  # BT.601
+_REAL = (float, numbers.Real)  # float first: np.float64 skips the ABC check
+
+
+def _count(name: str, value, least: int = 1) -> None:
+    """A ValueError naming `name` unless `value` is an integer >= `least`;
+    numpy integers pass, bools and floats do not."""
+    # int first: a plain int skips the slower ABC check
+    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _finite(arr: np.ndarray, entry: str) -> None:
+    """A ValueError naming the first NaN or infinite entry of `arr` in C order:
+    `entry` formatted with its index, e.g. "pixel (x={1}, y={0})" or "point {0}"."""
+    if not np.isfinite(arr).all():
+        at = tuple(np.argwhere(~np.isfinite(arr))[0])
+        raise ValueError(f"{entry.format(*at)} is not finite: {arr[at]}")
 
 
 @dataclass(frozen=True)
@@ -81,9 +100,8 @@ def _gray(image) -> np.ndarray:
     arr = np.asarray(image.data if isinstance(image, Frame) else image, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a Frame or a 2-D grayscale array, got shape {arr.shape}")
-    if not isinstance(image, Frame) and not np.isfinite(arr).all():
-        y, x = np.argwhere(~np.isfinite(arr))[0]
-        raise ValueError(f"pixel (x={x}, y={y}) is not finite: {arr[y, x]}")
+    if not isinstance(image, Frame):
+        _finite(arr, "pixel (x={1}, y={0})")
     return arr
 
 
@@ -178,18 +196,13 @@ def load_clip(path) -> Clip:
         raise ValueError(f"no frames in {path}")
     if len(files) < 2:
         raise ValueError(f"fewer than 2 frames in {path}")
-    frames = []
-    first_shape = None
-    for p in files:
-        arr = _read_pnm(p)
-        if first_shape is None:
-            first_shape = arr.shape
-        elif arr.shape != first_shape:
-            raise ValueError(
-                f"inconsistent dimensions in {p.name}: {arr.shape[1]}x{arr.shape[0]} "
-                f"vs {first_shape[1]}x{first_shape[0]}")
-        frames.append(Frame.from_array(arr))
-    return Clip(frames=tuple(frames), clip_id=path.name)
+    arrays = [_read_pnm(p) for p in files]
+    first = arrays[0].shape
+    for p, arr in zip(files, arrays):
+        if arr.shape != first:
+            raise ValueError(f"inconsistent dimensions in {p.name}: {arr.shape[1]}x{arr.shape[0]} "
+                             f"vs {first[1]}x{first[0]}")
+    return Clip(frames=tuple(Frame.from_array(arr) for arr in arrays), clip_id=path.name)
 
 
 def write_clip(clip: Clip, path) -> None:
@@ -246,7 +259,9 @@ class ObjectPath:
 
 
 def _check_sprite_size(name: str, size) -> None:
-    if not (isinstance(size, numbers.Real) and float(size).is_integer() and size >= 1):
+    # whole floats such as 9.0 pass, unlike `_count`
+    if isinstance(size, bool) or not (isinstance(size, _REAL) and float(size).is_integer()
+                                      and size >= 1):
         raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
 
 
@@ -274,9 +289,7 @@ class SceneSpec:
         if not (self.baseline > 0 and self.focal > 0):
             raise ValueError("baseline and focal must be > 0")
         for name, least in (("width", 1), ("height", 1), ("frames", 2), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            _count(name, getattr(self, name), least)
         if not self.noise_sigma >= 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
         if not (isinstance(self.background, numbers.Real) and math.isfinite(self.background)):
@@ -328,8 +341,9 @@ def _make_texture(size: int, rng: np.random.Generator) -> np.ndarray:
     checker = np.where(((xx // 3) + (yy // 3)) % 2 == 0, 70.0, 190.0)
     noise = rng.uniform(-30.0, 30.0, (size, size))
     k = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
-    noise = np.apply_along_axis(lambda r: np.convolve(r, k, mode="same"), 0, noise)
-    noise = np.apply_along_axis(lambda r: np.convolve(r, k, mode="same"), 1, noise)
+    # the full convolution's centre: "same" mode would return 5 samples for size < 5
+    noise = np.apply_along_axis(lambda r: np.convolve(r, k)[2:-2], 0, noise)
+    noise = np.apply_along_axis(lambda r: np.convolve(r, k)[2:-2], 1, noise)
     return np.clip(checker + noise, 0.0, 255.0)
 
 

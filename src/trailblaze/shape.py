@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .media import _count, _finite
+
 MAX_ORDER = 7
 
 
@@ -35,13 +37,10 @@ def describe(traj, r: int) -> ShapeDescriptor:
     pts = np.asarray(traj, dtype=np.float64)
     if pts.ndim != 2:
         raise ValueError("trajectory must be a 2-D point array")
-    if not np.isfinite(pts).all():
-        bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))[0]
-        raise ValueError(f"trajectory point {bad} is not finite: {pts[bad].tolist()}")
+    _finite(pts, "trajectory point {0}")
     l = len(pts) - 1
     n = pts.shape[1]
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 1:
-        raise ValueError(f"order must be an integer >= 1, got {r!r}")
+    _count("order", r)
     if r > l:
         raise ValueError(f"order {r} exceeds trajectory length {l}")
     if r > MAX_ORDER:

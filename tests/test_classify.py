@@ -94,13 +94,13 @@ class TestTrain:
     @pytest.mark.parametrize("kwargs, named", [
         (dict(C=0.0), "C must be > 0, got 0.0"),
         (dict(C=-1.0), "C must be > 0, got -1.0"),
-        (dict(epochs=0), "epochs must be >= 1, got 0"),
+        (dict(epochs=0), "epochs must be an integer >= 1, got 0"),
         (dict(C=np.inf), "C must be finite .* got C = inf for n = 40"),
         (dict(C=1e308), r"got C = 1e\+308 for n = 40 and 2000 steps \(lambda = 1/\(C\*n\) = 0.0\)"),
         (dict(C=1e-320), r"got C = 1e-320 for n = 40 and 2000 steps \(lambda = 1/\(C\*n\) = inf\)"),
         (dict(C=np.nan), "C must be > 0, got nan"),
-        (dict(epochs=2.5), "epochs must be an integer, got 2.5"),
-        (dict(epochs=True), "epochs must be an integer, got True"),
+        (dict(epochs=2.5), "epochs must be an integer >= 1, got 2.5"),
+        (dict(epochs=True), "epochs must be an integer >= 1, got True"),
     ])
     def test_bad_parameter_rejected_with_value(self, kwargs, named):
         with pytest.raises(ValueError, match=named):

@@ -157,6 +157,14 @@ class TestFitGmm:
         with pytest.raises(ValueError, match="finite"):
             fit_gmm(X, k=2)
 
+    @pytest.mark.parametrize("row, col, bad", [(3, 1, np.nan), (0, 0, np.inf), (8, 1, -np.inf)])
+    def test_non_finite_names_row_and_entry(self, row, col, bad):
+        X = np.random.default_rng(14).normal(0, 1, (10, 2))
+        X[row, col] = bad
+        X[9, 0] = np.nan  # later in C order, so not the entry named
+        with pytest.raises(ValueError, match=f"^descriptor {row} entry {col} is not finite: {bad}$"):
+            fit_gmm(X, k=2)
+
     @pytest.mark.parametrize("kwargs, message", [
         (dict(k=2.5), "k must be an integer >= 1, got 2.5"),
         (dict(k=True), "k must be an integer >= 1, got True"),
@@ -164,7 +172,10 @@ class TestFitGmm:
         (dict(k=2, max_iters=0), "max_iters must be an integer >= 1, got 0"),
         (dict(k=2, max_iters=-1), "max_iters must be an integer >= 1, got -1"),
         (dict(k=2, max_iters=3.0), "max_iters must be an integer >= 1, got 3.0"),
-    ], ids=["k_float", "k_bool", "k_zero", "iters_zero", "iters_negative", "iters_float"])
+        (dict(k=2, max_iters=True), "max_iters must be an integer >= 1, got True"),
+        (dict(k=np.bool_(True)), "k must be an integer >= 1, got np.True_"),
+    ], ids=["k_float", "k_bool", "k_zero", "iters_zero", "iters_negative", "iters_float",
+            "iters_bool", "k_numpy_bool"])
     def test_bad_count_named(self, kwargs, message):
         X = np.random.default_rng(12).normal(0, 1, (20, 2))
         with pytest.raises(ValueError, match=message):
@@ -173,6 +184,12 @@ class TestFitGmm:
     def test_numpy_integer_counts_accepted(self):
         X = np.random.default_rng(13).normal(0, 1, (20, 2))
         assert fit_gmm(X, k=np.int64(2), max_iters=np.int32(3)).k == 2
+
+    def test_int64_max_iters_fits_like_int(self):
+        X = np.random.default_rng(13).normal(0, 1, (20, 2))
+        want = fit_gmm(X, k=2, max_iters=3)
+        got = fit_gmm(X, k=2, max_iters=np.int64(3))
+        assert np.array_equal(got.means, want.means) and np.array_equal(got.weights, want.weights)
 
     @pytest.mark.parametrize("shape", [(20, 0), (20,), (2, 10, 2)])
     def test_descriptor_shape_named(self, shape):
@@ -328,7 +345,7 @@ class TestFisherVector:
     def test_non_finite_rejected(self, bad):
         X = np.random.default_rng(6).normal(0, 1, (50, 4))
         X[7, 2] = bad
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="descriptor 7 entry 2 is not finite"):
             fisher_vector(X, make_codebook())
 
     def test_permutation_invariance(self):

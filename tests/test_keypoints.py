@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -85,7 +86,8 @@ class TestDetectFast:
         b = detect_fast(img + 40.0, threshold=25.0)
         assert [(c.x, c.y) for c in a] == [(c.x, c.y) for c in b]
 
-    @pytest.mark.parametrize("threshold", [0.0, -5.0, np.nan, np.inf])
+    @pytest.mark.parametrize("threshold", [0.0, -5.0, np.nan, np.inf,
+                                           True, np.bool_(True), "20", None])
     def test_bad_threshold_named(self, threshold):
         with pytest.raises(ValueError, match=rf"threshold must be .*, got {threshold!r}"):
             detect_fast(np.full((16, 16), 80.0), threshold=threshold)
@@ -184,6 +186,20 @@ class TestDescribePatch:
         img[25, 18] = np.inf
         with pytest.raises(ValueError, match=r"pixel \(x=18, y=25\) is not finite: inf"):
             describe_patch(img, (20, 20))
+
+    @pytest.mark.parametrize("p", [(20.0, 20.0, 5.0), (np.inf, 20.0), (20.0, np.nan), (20.0,),
+                                   "20", 20.0, None, ("20", 20)],
+                             ids=["three", "inf", "nan", "one", "text", "scalar", "none", "text_x"])
+    def test_bad_point_named(self, p):
+        img = np.random.default_rng(2).uniform(0, 255, (40, 40))
+        with pytest.raises(ValueError, match=f"^point {re.escape(repr(p))} is not two finite real"):
+            describe_patch(img, p)
+
+    def test_array_row_and_numpy_scalar_points_accepted(self):
+        img = np.random.default_rng(2).uniform(0, 255, (40, 40))
+        want = describe_patch(img, (20, 20))
+        for p in (np.array([[20.0, 20.0]])[0], (np.float32(20.0), np.int64(20)), [20, 20.2]):
+            assert np.array_equal(describe_patch(img, p), want)
 
     def test_uniform_patch_zero_vector(self):
         img = np.full((32, 32), 90.0)
@@ -301,6 +317,14 @@ class TestMatchReciprocal:
     def test_width_mismatch_names_both_shapes(self):
         with pytest.raises(ValueError, match=r"\(3, 4\).*\(2, 5\)"):
             match_reciprocal(np.ones((3, 4)), np.ones((2, 5)))
+
+    def test_non_finite_descriptor_names_side_row_and_entry(self):
+        with pytest.raises(ValueError, match=r"^a descriptor 0 entry 0 is not finite: nan$"):
+            match_reciprocal([[np.nan, 0.0]], [[0.0, 0.0]])
+        b = np.ones((3, 4))
+        b[2, 3] = np.inf
+        with pytest.raises(ValueError, match=r"^b descriptor 2 entry 3 is not finite: inf$"):
+            match_reciprocal(np.ones((2, 4)), b)
 
     def test_identity_pairing(self):
         rng = np.random.default_rng(9)

@@ -133,6 +133,34 @@ class TestGray:
             media._gray(arr)
 
 
+class TestInputRules:
+    @pytest.mark.parametrize("value", [1, 7, np.int64(3), np.int32(1), np.uint8(2)])
+    def test_count_accepts_integers(self, value):
+        media._count("n", value)
+
+    @pytest.mark.parametrize("value, least", [
+        (True, 1), (np.bool_(True), 1), (False, 0), (2.0, 1), (2.5, 1), ("2", 1), (None, 1),
+        (0, 1), (np.int64(-1), 0), (1, 2),
+    ])
+    def test_count_rejects_with_bound_and_value(self, value, least):
+        message = f"n must be an integer >= {least}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            media._count("n", value, least)
+
+    def test_finite_names_first_entry_in_c_order(self):
+        arr = np.zeros((3, 4))
+        arr[2, 0] = np.nan
+        arr[1, 3] = -np.inf
+        with pytest.raises(ValueError, match=r"^row 1 col 3 is not finite: -inf$"):
+            media._finite(arr, "row {0} col {1}")
+        with pytest.raises(ValueError, match=r"^point 1 is not finite: -inf$"):
+            media._finite(arr, "point {0}")
+
+    def test_finite_passes_finite_and_empty_arrays(self):
+        media._finite(np.arange(6.0).reshape(2, 3), "entry {0}")
+        media._finite(np.zeros((0, 3)), "entry {0}")
+
+
 class TestBilinear:
     @pytest.mark.parametrize("shape", [(6, 7), (1, 5), (5, 1), (1, 1)])
     def test_matches_map_coordinates(self, shape):
@@ -204,6 +232,15 @@ class TestClipIO:
         media._write_pnm(d / "frame_000001.pgm", np.zeros((48, 64), dtype=np.uint8))
         media._write_pnm(d / "frame_000002.pgm", np.zeros((24, 32), dtype=np.uint8))
         with pytest.raises(ValueError, match="frame_000002"):
+            load_clip(d)
+
+    def test_first_inconsistent_file_named(self, tmp_path):
+        d = tmp_path / "c"
+        d.mkdir()
+        for name, shape in [("frame_000000.pgm", (48, 64)), ("frame_000001.pgm", (24, 32)),
+                            ("frame_000002.ppm", (48, 64, 3)), ("frame_000003.pgm", (48, 64))]:
+            media._write_pnm(d / name, np.zeros(shape, dtype=np.uint8))
+        with pytest.raises(ValueError, match="^inconsistent dimensions in frame_000001.pgm: 32x24 vs 64x48"):
             load_clip(d)
 
     def test_malformed_file_names_file(self, tmp_path):
@@ -318,6 +355,7 @@ class TestSceneSpec:
         ("seed", -1), ("seed", 1.5), ("background", float("nan")), ("width", True),
         ("height", np.bool_(True)), ("frames", True),
         ("background", float("inf")), ("background", None),
+        ("seed", True), ("seed", np.bool_(True)), ("patch", True),
     ])
     def test_bad_value_names_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -338,7 +376,7 @@ class TestSceneSpec:
         with pytest.raises(ValueError, match="at least one object"):
             simple_spec(objects=())
 
-    @pytest.mark.parametrize("size", [0, 1.5, -4, float("nan"), "16"])
+    @pytest.mark.parametrize("size", [0, 1.5, -4, float("nan"), "16", True])
     def test_bad_object_patch_names_object(self, size):
         obj = ObjectPath("line", {"u0": 20.0, "v0": 24.0, "patch": size})
         with pytest.raises(ValueError, match="^object 0 patch must be"):
@@ -352,6 +390,25 @@ class TestSceneSpec:
         painted = left.frames[0].data > 0
         assert painted[20:29, 16:25].all() and painted[22:27, 38:43].all()
         assert painted.sum() == 9 * 9 + 5 * 5
+
+
+    def test_numpy_integer_counts_accepted(self):
+        want, _, _ = synth_stereo(simple_spec())
+        got, _, _ = synth_stereo(simple_spec(width=np.int64(64), height=np.int64(48),
+                                             frames=np.int64(6), seed=np.int64(5)))
+        assert all(np.array_equal(a.data, b.data) for a, b in zip(got.frames, want.frames))
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_small_sprite_fills_its_footprint(self, size):
+        # centred so the sprite's first texel lands on pixel (10, 12): it covers
+        # exactly size x size pixels of the black background
+        half = (size - 1) / 2
+        obj = ObjectPath("line", {"u0": 10.0 + half, "v0": 12.0 + half})
+        left, _, _ = synth_stereo(simple_spec(objects=(obj,), patch=size, background=0.0))
+        for frame in left.frames:
+            painted = frame.data > 0
+            assert painted[12:12 + size, 10:10 + size].all()
+            assert painted.sum() == size * size
 
 
 class TestObjectPath:
