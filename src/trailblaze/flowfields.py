@@ -13,6 +13,10 @@ stacks; each refinement warps the five coefficients of the second frame with
 one stacked `_bilinear` call.  An `lru_cache` of FB_MEMO_FRAMES frames keyed
 on exact content holds the expansions, so a frame that is `next` of one call
 and `prev` of the following one (or of a left-to-right call) is expanded once.
+The memoised stacks are read-only.  The refinement and `_solve_flow` write
+only into buffers the call allocates: the warped stack becomes the averaged
+A and the right-hand side, and one (5, h, w) stack holds the products, their
+window sums and u and v.
 """
 
 from __future__ import annotations
@@ -221,20 +225,20 @@ def _poly_expand(img: np.ndarray) -> np.ndarray:
     (x, y) with x along columns.
     """
     g, xg, x2g = _POLY_KERNELS
-    by_g, by_xg, by_x2g = (ndimage.correlate1d(img, k, axis=0, mode="nearest")
-                           for k in _POLY_KERNELS)
-
-    def across(rows, kernel_x):
-        return ndimage.correlate1d(rows, kernel_x, axis=1, mode="nearest")
-
-    v = np.stack([
-        across(by_g, g),     # <1, f>
-        across(by_g, xg),    # <x, f>
-        across(by_xg, g),    # <y, f>
-        across(by_g, x2g),   # <x^2, f>
-        across(by_x2g, g),   # <y^2, f>
-        across(by_xg, xg),   # <xy, f>
-    ])
+    rows = np.empty((3,) + img.shape)
+    for kernel_y, out in zip(_POLY_KERNELS, rows):
+        ndimage.correlate1d(img, kernel_y, axis=0, output=out, mode="nearest")
+    by_g, by_xg, by_x2g = rows
+    v = np.empty((6,) + img.shape)
+    for (by, kernel_x), out in zip([
+        (by_g, g),     # <1, f>
+        (by_g, xg),    # <x, f>
+        (by_xg, g),    # <y, f>
+        (by_g, x2g),   # <x^2, f>
+        (by_x2g, g),   # <y^2, f>
+        (by_xg, xg),   # <xy, f>
+    ], v):
+        ndimage.correlate1d(by, kernel_x, axis=1, output=out, mode="nearest")
     return np.einsum("ij,jhw->ihw", _POLY_ROWS, v)
 
 
@@ -257,20 +261,36 @@ def _expand_frame(shape: tuple, data: bytes) -> tuple:
 
 
 def _solve_flow(A11, A12, A22, b1, b2):
-    """Window-averaged least squares of A d = delta_b."""
-    products = np.stack([
-        A11 * A11 + A12 * A12,
-        A12 * (A11 + A22),
-        A12 * A12 + A22 * A22,
-        A11 * b1 + A12 * b2,
-        A12 * b1 + A22 * b2,
-    ])
-    G11, G12, G22, H1, H2 = ndimage.uniform_filter(products, size=(1, FB_WINDOW, FB_WINDOW),
-                                                   mode="nearest")
-    det = G11 * G22 - G12 * G12
-    det = np.where(np.abs(det) < 1e-12, 1e-12, det)
-    u = (G22 * H1 - G12 * H2) / det
-    v = (G11 * H2 - G12 * H1) / det
+    """Window-averaged least squares of A d = delta_b.
+
+    Works in one (5, h, w) stack it allocates and leaves its arguments
+    unchanged; u and v are two of its planes.
+    """
+    products = np.empty((5,) + A11.shape)
+    G11, G12, G22, H1, H2 = products
+    tmp = A12 * A12
+    np.multiply(A11, A11, out=G11)
+    G11 += tmp                       # A11² + A12²
+    np.add(A11, A22, out=G12)
+    G12 *= A12                       # A12 (A11 + A22)
+    np.multiply(A22, A22, out=G22)
+    G22 += tmp                       # A12² + A22²
+    np.multiply(A11, b1, out=H1)
+    H1 += np.multiply(A12, b2, out=tmp)  # A11 b1 + A12 b2
+    np.multiply(A12, b1, out=H2)
+    H2 += np.multiply(A22, b2, out=tmp)  # A12 b1 + A22 b2
+    ndimage.uniform_filter(products, size=(1, FB_WINDOW, FB_WINDOW), mode="nearest",
+                           output=products)
+    det = G11 * G22
+    det -= np.multiply(G12, G12, out=tmp)
+    np.copyto(det, 1e-12, where=np.abs(det) < 1e-12)
+    u, v = G22, G11
+    u *= H1
+    u -= np.multiply(G12, H2, out=tmp)   # G22 H1 - G12 H2
+    u /= det
+    v *= H2
+    v -= np.multiply(G12, H1, out=tmp)   # G11 H2 - G12 H1
+    v /= det
     return u, v
 
 
@@ -288,19 +308,28 @@ def farneback_flow(prev, next) -> FlowField:
     v = np.zeros(exp0[-1].shape[1:])
 
     for lvl in range(len(exp0) - 1, -1, -1):
-        A11a, A12a, A22a, b1a, b2a = exp0[lvl]
-        h, w = A11a.shape
+        h, w = exp0[lvl].shape[1:]
+        A0, b0 = exp0[lvl][:3], exp0[lvl][3:]
         if u.shape != (h, w):
             u = np.repeat(np.repeat(u, 2, axis=0), 2, axis=1)[:h, :w] * 2.0
             v = np.repeat(np.repeat(v, 2, axis=0), 2, axis=1)[:h, :w] * 2.0
-        yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+        xs = np.arange(w, dtype=np.float64)
+        ys = np.arange(h, dtype=np.float64)[:, None]
+        tmp = np.empty((h, w))
         for _ in range(FB_ITERATIONS):
-            wA11, wA12, wA22, wb1, wb2 = _bilinear(exp1[lvl], xx + u, yy + v)
-            A11 = 0.5 * (A11a + wA11)
-            A12 = 0.5 * (A12a + wA12)
-            A22 = 0.5 * (A22a + wA22)
-            db1 = -0.5 * (wb1 - b1a) + A11 * u + A12 * v
-            db2 = -0.5 * (wb2 - b2a) + A12 * u + A22 * v
+            warped = _bilinear(exp1[lvl], xs + u, ys + v)
+            A = warped[:3]
+            A += A0
+            A *= 0.5                 # 0.5 (A_prev + A_next warped)
+            A11, A12, A22 = A
+            db = warped[3:]
+            db -= b0
+            db *= -0.5               # -0.5 (b_next warped - b_prev)
+            db1, db2 = db
+            db1 += np.multiply(A11, u, out=tmp)
+            db1 += np.multiply(A12, v, out=tmp)
+            db2 += np.multiply(A12, u, out=tmp)
+            db2 += np.multiply(A22, v, out=tmp)
             u, v = _solve_flow(A11, A12, A22, db1, db2)
     return FlowField(u=u, v=v)
 

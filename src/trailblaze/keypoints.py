@@ -62,9 +62,14 @@ def detect_fast(gray, threshold: float = 20.0) -> list:
     if not is_corner.any():
         return []
 
-    exceed_b = np.where(brighter, ring - (center + threshold), 0.0).sum(axis=0)
-    exceed_d = np.where(darker, (center - threshold) - ring, 0.0).sum(axis=0)
-    score = np.where(is_corner, np.maximum(exceed_b, exceed_d), 0.0)
+    # scored at segment-test corners only; each sum runs along the ring in ring
+    # order, as numpy sums a whole (16, h, w) stack with more than one pixel
+    ys, xs = np.nonzero(is_corner)
+    r, c = ring[:, ys, xs], center[ys, xs]
+    exceed_b = np.where(brighter[:, ys, xs], r - (c + threshold), 0.0).cumsum(axis=0)[-1]
+    exceed_d = np.where(darker[:, ys, xs], (c - threshold) - r, 0.0).cumsum(axis=0)[-1]
+    score = np.zeros(is_corner.shape)
+    score[ys, xs] = np.maximum(exceed_b, exceed_d)
 
     local_max = ndimage.maximum_filter(score, size=3, mode="constant", cval=0.0)
     keep = is_corner & (score >= local_max)

@@ -198,10 +198,14 @@ def load_clip(path) -> Clip:
         raise ValueError(f"fewer than 2 frames in {path}")
     arrays = [_read_pnm(p) for p in files]
     first = arrays[0].shape
+
+    def size(shape):  # width x height, then x3 for a colour frame
+        return "x".join(map(str, (shape[1], shape[0]) + shape[2:]))
+
     for p, arr in zip(files, arrays):
         if arr.shape != first:
-            raise ValueError(f"inconsistent dimensions in {p.name}: {arr.shape[1]}x{arr.shape[0]} "
-                             f"vs {first[1]}x{first[0]}")
+            raise ValueError(f"inconsistent dimensions in {p.name}: {size(arr.shape)} "
+                             f"vs {size(first)}")
     return Clip(frames=tuple(Frame.from_array(arr) for arr in arrays), clip_id=path.name)
 
 
@@ -286,12 +290,14 @@ class SceneSpec:
     toein = 0.0  # a class constant, not a field: the right camera is never turned in
 
     def __post_init__(self):
-        if not (self.baseline > 0 and self.focal > 0):
-            raise ValueError("baseline and focal must be > 0")
+        # every disparity is focal * baseline / Z, so the product must be finite
+        if not (self.baseline > 0 and self.focal > 0 and math.isfinite(self.focal * self.baseline)):
+            raise ValueError(f"baseline and focal must be > 0 with a finite product, "
+                             f"got baseline={self.baseline!r}, focal={self.focal!r}")
         for name, least in (("width", 1), ("height", 1), ("frames", 2), ("seed", 0)):
             _count(name, getattr(self, name), least)
-        if not self.noise_sigma >= 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma!r}")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
         if not (isinstance(self.background, numbers.Real) and math.isfinite(self.background)):
             raise ValueError(f"background must be a finite number, got {self.background!r}")
         if not self.objects:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from trailblaze.flowfields import (
     sample_flow,
 )
 from trailblaze.keypoints import detect_fast
-from trailblaze.media import _bilinear, _gray
+from trailblaze.media import ObjectPath, SceneSpec, _bilinear, _gray, synth_stereo
 
 
 def smooth_texture(seed, shape=(96, 128), blur=1.5):
@@ -231,6 +233,21 @@ def farneback_flow_oracle(prev, next) -> FlowField:
 
 def same_field(a: FlowField, b: FlowField) -> bool:
     return np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
+
+
+def digest(arrays) -> list:
+    return [hashlib.sha256(a.tobytes()).hexdigest() for a in arrays]
+
+
+def stereo_frames():
+    """Left t-1, left t and right t of a 96x72 two-sprite scene, as float arrays."""
+    spec = SceneSpec(objects=(
+        ObjectPath("line", {"u0": 30.0, "v0": 20.0, "du": 1.5, "z0": 3.0, "dz": 0.05}),
+        ObjectPath("circle", {"u0": 60.0, "v0": 50.0, "radius": 4.0, "z0": 2.6}),
+    ), width=96, height=72, frames=3, seed=7, patch=16)
+    left, right, _ = synth_stereo(spec)
+    return (left.frames[1].data.astype(np.float64), left.frames[2].data.astype(np.float64),
+            right.frames[2].data.astype(np.float64))
 
 
 @pytest.fixture
@@ -514,10 +531,48 @@ class TestFarnebackOracle:
         assert same_field(farneback_flow(img, moved), want)  # both frames memoised
         assert same_field(farneback_flow(moved, img), farneback_flow_oracle(moved, img))
 
+    def test_stereo_frames_at_corpus_size_match_oracle_bitwise(self, cold_memo):
+        # the dense tracker's two calls per frame: left t-1 -> t, left t -> right t
+        prev, now, right = stereo_frames()
+        assert len(flowfields._expansions(now / 255.0)) == FB_LEVELS == 3
+        cold_memo.cache_clear()
+        for a, b in [(prev, now), (now, right)]:
+            want = farneback_flow_oracle(a, b)
+            assert same_field(farneback_flow(a, b), want)
+            assert same_field(farneback_flow(a, b), want)  # both frames memoised
+
     def test_poly_expand_matches_oracle_bitwise(self):
         img = smooth_texture(12, shape=(40, 52)) / 255.0
         assert np.array_equal(flowfields._poly_expand(img),
                               np.stack(poly_expand_oracle(img, FB_POLY_N, FB_POLY_SIGMA)))
+
+
+class TestNoWrites:
+    def test_flow_leaves_inputs_and_memoised_expansions_unchanged(self, cold_memo):
+        prev, now, right = stereo_frames()
+        inputs = digest([prev, now, right])
+        farneback_flow(prev, now)                           # both frames cold
+        prev_levels, now_levels = (flowfields._expansions(im / 255.0) for im in (prev, now))
+        held = digest(prev_levels + now_levels)
+        farneback_flow(prev, now)                           # both warm
+        farneback_flow(now, right)                          # one warm, one cold
+        assert digest([prev, now, right]) == inputs
+        assert digest(prev_levels + now_levels) == held
+        assert cold_memo.cache_info().currsize == 2         # now and right
+        assert flowfields._expansions(now / 255.0) is now_levels
+
+    def test_solve_flow_leaves_its_arguments_unchanged(self):
+        rng = np.random.default_rng(40)
+        args = [rng.normal(0.0, 1.0, (30, 44)) for _ in range(5)]
+        for a in args:
+            a[:, :20] = 0.0                                 # singular left columns
+        before = digest(args)
+        for a in args:
+            a.flags.writeable = False
+        u, v = flowfields._solve_flow(*args)
+        assert digest(args) == before
+        want = solve_flow_oracle(*args, FB_WINDOW)
+        assert np.array_equal(u, want[0]) and np.array_equal(v, want[1])
 
 
 class TestExpansionMemo:

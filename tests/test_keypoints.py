@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from trailblaze import keypoints
-from trailblaze.keypoints import CIRCLE, describe_patch, detect_fast, match_reciprocal
+from trailblaze.keypoints import CIRCLE, Corner, describe_patch, detect_fast, match_reciprocal
 from trailblaze.media import Frame, _gray
 
 
@@ -36,7 +37,52 @@ def run_length_arc_oracle(mask):
     return np.minimum(best, len(CIRCLE)) >= keypoints.FAST_ARC
 
 
+def detect_fast_oracle(gray, threshold: float = 20.0) -> list:
+    """detect_fast as it was before it scored only segment-test corners: both
+    exceedance sums over every pixel, then masked to the corners."""
+    img = _gray(gray)
+    h, w = img.shape
+    center = img[3:h - 3, 3:w - 3]
+    ring = np.stack([img[3 + dy:h - 3 + dy, 3 + dx:w - 3 + dx] for dx, dy in CIRCLE])
+    brighter = ring > center + threshold
+    darker = ring < center - threshold
+    is_corner = keypoints._has_arc(brighter) | keypoints._has_arc(darker)
+    if not is_corner.any():
+        return []
+    exceed_b = np.where(brighter, ring - (center + threshold), 0.0).sum(axis=0)
+    exceed_d = np.where(darker, (center - threshold) - ring, 0.0).sum(axis=0)
+    score = np.where(is_corner, np.maximum(exceed_b, exceed_d), 0.0)
+    local_max = ndimage.maximum_filter(score, size=3, mode="constant", cval=0.0)
+    keep = is_corner & (score >= local_max)
+    ys, xs = np.nonzero(keep)
+    return [Corner(x=int(x) + 3, y=int(y) + 3, score=float(score[y, x]))
+            for y, x in zip(ys, xs)]
+
+
 class TestDetectFast:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(7, 40), st.integers(7, 40),
+           st.sampled_from([8.0, 20.0, 12.3]), st.floats(0.0, 2.0), st.booleans())
+    def test_matches_all_pixel_oracle_exactly(self, seed, h, w, threshold, blur, whole):
+        # numpy sums a one-pixel (16, 1, 1) stack pairwise rather than in ring
+        # order, so a 7x7 frame is compared on whole-valued pixels, whose sums
+        # are exact in any order
+        whole = whole or (h, w) == (7, 7)
+        rng = np.random.default_rng(seed)
+        img = ndimage.gaussian_filter(rng.uniform(0.0, 255.0, (h, w)), blur)
+        if whole:
+            img = np.round(img)
+            threshold = round(threshold)
+        assert detect_fast(img, threshold) == detect_fast_oracle(img, threshold)
+
+    def test_single_corner_in_a_large_frame_matches_oracle(self):
+        # one corner among many pixels: its sums must run in ring order too
+        img = 20.0 + np.random.default_rng(1).uniform(0.0, 10.0, (24, 30))
+        img[11, 13] = 240.6
+        got = detect_fast(img, threshold=17.3)
+        assert [(c.x, c.y) for c in got] == [(13, 11)]
+        assert got == detect_fast_oracle(img, threshold=17.3)
+
     def test_arc_test_matches_run_length_oracle_on_every_ring(self):
         # bit k of a pattern is ring pixel k: all 2^16 rings side by side
         patterns = np.arange(2 ** 16)

@@ -243,6 +243,15 @@ class TestClipIO:
         with pytest.raises(ValueError, match="^inconsistent dimensions in frame_000001.pgm: 32x24 vs 64x48"):
             load_clip(d)
 
+    def test_colour_frame_among_gray_names_channels(self, tmp_path):
+        d = tmp_path / "c"
+        d.mkdir()
+        media._write_pnm(d / "frame_000000.pgm", np.zeros((48, 64), dtype=np.uint8))
+        media._write_pnm(d / "frame_000001.ppm", np.zeros((48, 64, 3), dtype=np.uint8))
+        with pytest.raises(ValueError, match="^inconsistent dimensions in frame_000001.ppm: "
+                                             "64x48x3 vs 64x48$"):
+            load_clip(d)
+
     def test_malformed_file_names_file(self, tmp_path):
         d = tmp_path / "c"
         d.mkdir()
@@ -355,14 +364,15 @@ class TestSceneSpec:
         ("seed", -1), ("seed", 1.5), ("background", float("nan")), ("width", True),
         ("height", np.bool_(True)), ("frames", True),
         ("background", float("inf")), ("background", None),
-        ("seed", True), ("seed", np.bool_(True)), ("patch", True),
+        ("seed", True), ("seed", np.bool_(True)), ("patch", True), ("noise_sigma", float("inf")),
     ])
     def test_bad_value_names_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             simple_spec(**{field: value})
 
     @pytest.mark.parametrize("kw", [dict(focal=float("nan")), dict(baseline=float("nan")),
-                                    dict(focal=0.0)])
+                                    dict(focal=0.0), dict(focal=float("inf")),
+                                    dict(baseline=1e308)])
     def test_bad_rig_rejected(self, kw):
         with pytest.raises(ValueError, match="baseline and focal"):
             simple_spec(**kw)
