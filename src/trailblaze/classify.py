@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import fisher_vector, fit_gmm
-from .media import _count, _finite
+from .media import _count, _finite, _real
 
 GMM_MAX_POINTS = 100_000  # a fold's codebook is fit on at most this many descriptors
 
@@ -93,8 +93,8 @@ def train(examples, C: float = 1.0, epochs: int = 50, seed: int = 0) -> SvmModel
     and the biases are those of the per-step loop; no step touches a D-long
     array.
     """
-    if not C > 0:
-        raise ValueError(f"C must be > 0, got {C}")
+    if not (_real(C) and C > 0):
+        raise ValueError(f"C must be > 0, got {C!r}")
     _count("epochs", epochs)
     examples = list(examples)
     labels = tuple(sorted({e.label for e in examples}))

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .media import _count, _finite
+from .media import _count, _rows
 
 VARIANCE_FLOOR = 1e-6
 EM_TOL = 1e-6
@@ -126,11 +126,7 @@ def fit_gmm(descriptors, k: int, seed: int = 0, max_iters: int = 100) -> FisherC
     """
     _count("k", k)
     _count("max_iters", max_iters)
-    X = np.asarray(descriptors, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] == 0:
-        raise ValueError(f"descriptors must be a 2-D array with at least one column, "
-                         f"got shape {X.shape}")
-    _finite(X, "descriptor {0} entry {1}")
+    X = _rows("descriptors", descriptors, "descriptor {0} entry {1}")
     if len(X) < k:
         raise ValueError(f"need at least K={k} descriptors, got {len(X)}")
 
@@ -165,13 +161,9 @@ def fisher_vector(descriptors, codebook: FisherCodebook) -> np.ndarray:
     normalized mean and variance gradients, then signed square root and L2
     normalization.  An empty set encodes to the zero vector."""
     K, N = codebook.k, codebook.dim
-    X = np.asarray(descriptors, dtype=np.float64)
-    if X.size == 0:
+    if len(descriptors) == 0:
         return np.zeros(2 * N * K)
-    X = np.atleast_2d(X)
-    if X.shape[1] != N:
-        raise ValueError(f"descriptor dimension {X.shape[1]} does not match codebook {N}")
-    _finite(X, "descriptor {0} entry {1}")
+    X = _rows("descriptors", descriptors, "descriptor {0} entry {1}", N, ndmin=2)
     fv = _fv_blocks(X, codebook).ravel()
     fv = np.sign(fv) * np.sqrt(np.abs(fv))
     norm = np.linalg.norm(fv)
@@ -196,8 +188,6 @@ def _fv_blocks(X, codebook: FisherCodebook) -> np.ndarray:
 
 def gmm_log_likelihood(X, weights, means, variances) -> float:
     """Total log-likelihood of X under the diagonal GMM (oracle hook)."""
-    X = np.atleast_2d(np.asarray(X, float))
-    if X.ndim != 2 or X.shape[1] != means.shape[1]:
-        raise ValueError(f"X must be (T, {means.shape[1]}) to match the means, got {X.shape}")
+    X = _rows("X", X, "X row {0} entry {1}", means.shape[1], ndmin=2)
     _, point_ll = _log_responsibilities(X, weights, means, variances)
     return float(point_ll.sum())

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .media import _REAL, _bilinear, _count, _finite, _gray
+from .media import _bilinear, _count, _gray, _point, _rows
 
 BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
@@ -109,15 +108,12 @@ def lk_track(prev, next, points, levels: int = 3, window: int = 15) -> list:
     """
     img0, img1 = _unit_pair(prev, next)
     _count("levels", levels)
-    if (isinstance(window, bool) or not isinstance(window, numbers.Integral)
-            or window < 5 or window % 2 == 0):
+    _count("window", window, 5, "an odd integer")
+    if window % 2 == 0:
         raise ValueError(f"window must be an odd integer >= 5, got {window!r}")
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.shape in ((0,), (0, 2)):
+    if len(points) == 0 and np.ndim(points) == 1:  # no points; (0, 2) yields [] below
         return []
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
-    _finite(pts, "point {0}")
+    pts = _rows("points", points, "point {0}", 2)
     half = window // 2
     h, w = img0.shape
 
@@ -339,16 +335,10 @@ def sample_flow(field: FlowField, p) -> tuple:
 
     Computed in Python floats with `_bilinear`'s corners, weights and order
     of operations, so it returns the same values without numpy's per-call cost.
-    A point that is not two real numbers, or lies outside the field, is a
-    ValueError naming it.
+    A point that is not two finite real numbers, or lies outside the field,
+    is a ValueError naming it.
     """
-    try:
-        ok = len(p) == 2 and isinstance(p[0], _REAL) and isinstance(p[1], _REAL)
-    except TypeError:
-        ok = False
-    if not ok:
-        raise ValueError(f"point {p!r} is not two real numbers (x, y)")
-    x, y = float(p[0]), float(p[1])
+    x, y = _point(p)
     h, w = field.u.shape
     if not (0.0 <= x <= w - 1 and 0.0 <= y <= h - 1):
         raise ValueError(f"point {p} outside flow field bounds")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .media import _REAL, _finite, _gray
+from .media import _count, _gray, _point, _real, _rows
 
 # 16-pixel Bresenham circle of radius 3, clockwise from the top
 CIRCLE = [(0, -3), (1, -3), (2, -2), (3, -1), (3, 0), (3, 1), (2, 2), (1, 3),
@@ -51,7 +51,7 @@ def detect_fast(gray, threshold: float = 20.0) -> list:
     h, w = img.shape
     if h < 7 or w < 7:
         raise ValueError(f"frame {w}x{h} smaller than 7x7")
-    if isinstance(threshold, bool) or not (isinstance(threshold, _REAL) and 0 < threshold < np.inf):
+    if not (_real(threshold) and 0 < threshold < np.inf):
         raise ValueError(f"threshold must be a finite number > 0, got {threshold!r}")
 
     center = img[3:h - 3, 3:w - 3]
@@ -86,15 +86,10 @@ def describe_patch(gray, p, patch: int = 16) -> np.ndarray:
     and renormalized.  A gradient-free patch yields the zero vector.  A point
     that is not two finite real numbers (x, y) is a ValueError naming it.
     """
-    if (isinstance(patch, bool) or not isinstance(patch, (int, np.integer))
-            or patch < 4 or patch % 4):
-        raise ValueError(f"patch must be a positive multiple of 4, got {patch!r}")
-    try:  # in Python scalars: this runs once per stereo candidate
-        x, y = (p[0], p[1]) if len(p) == 2 else (None, None)
-    except TypeError:
-        x = y = None
-    if not (isinstance(x, _REAL) and isinstance(y, _REAL) and abs(x) < np.inf and abs(y) < np.inf):
-        raise ValueError(f"point {p!r} is not two finite real numbers (x, y)")
+    _count("patch", patch, 4, "a multiple of 4")
+    if patch % 4:
+        raise ValueError(f"patch must be a multiple of 4 >= 4, got {patch!r}")
+    x, y = _point(p)
     img = _gray(gray)
     h, w = img.shape
     half = patch // 2
@@ -124,14 +119,10 @@ def match_reciprocal(a, b) -> list:
     """Mutual nearest-neighbor pairs (i, j) passing Lowe's ratio test with
     MATCH_RATIO in both directions; singleton sets skip the ratio test.
     Sorted by index_a."""
-    A = np.atleast_2d(np.asarray(a, dtype=np.float64)) if len(a) else np.zeros((0, 1))
-    B = np.atleast_2d(np.asarray(b, dtype=np.float64)) if len(b) else np.zeros((0, 1))
-    if A.shape[0] == 0 or B.shape[0] == 0:
+    if len(a) == 0 or len(b) == 0:
         return []
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(f"descriptor widths differ: a is {A.shape}, b is {B.shape}")
-    _finite(A, "a descriptor {0} entry {1}")
-    _finite(B, "b descriptor {0} entry {1}")
+    A = _rows("a", a, "a descriptor {0} entry {1}", ndmin=2)
+    B = _rows("b", b, "b descriptor {0} entry {1}", A.shape[1], ndmin=2)
     # one row of a at a time, so the difference array is only (nb, D)
     d = np.sqrt([np.square(row - B).sum(axis=1) for row in A])
 

@@ -4,8 +4,8 @@ ground-truth-bearing synthetic stereo generator.
 Clips are directories of binary PGM (P5) / PPM (P6) frames named
 ``frame_000000.pgm`` onwards.  The layers that read pixels convert them with
 ``_gray`` (float64 grayscale in 0-255 units) and sample them with
-``_bilinear``.  Every layer checks its inputs with the two shared rules
-``_count`` (an integer count) and ``_finite`` (no NaN or infinite entry).
+``_bilinear``.  Every layer checks its inputs with four shared rules (``_count``,
+``_finite``, ``_point`` and ``_rows``) and one test of a real number (``_real``).
 The synthetic generator renders textured square sprites moving along
 parametric paths, seen by a rectified pinhole stereo pair with horizontal
 baseline, and reports exact per-frame projections, disparities and the
@@ -26,12 +26,17 @@ GRAY_WEIGHTS = (0.299, 0.587, 0.114)  # BT.601
 _REAL = (float, numbers.Real)  # float first: np.float64 skips the ABC check
 
 
-def _count(name: str, value, least: int = 1) -> None:
-    """A ValueError naming `name` unless `value` is an integer >= `least`;
-    numpy integers pass, bools and floats do not."""
+def _real(value) -> bool:
+    """True for a real number, numpy's included; False for a bool."""
+    return isinstance(value, _REAL) and not isinstance(value, bool)
+
+
+def _count(name: str, value, least: int = 1, what: str = "an integer") -> None:
+    """A ValueError naming `name` unless `value` is an integer >= `least`, worded
+    as `what`, e.g. "an odd integer"; numpy integers pass, bools and floats do not."""
     # int first: a plain int skips the slower ABC check
     if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise ValueError(f"{name} must be {what} >= {least}, got {value!r}")
 
 
 def _finite(arr: np.ndarray, entry: str) -> None:
@@ -40,6 +45,32 @@ def _finite(arr: np.ndarray, entry: str) -> None:
     if not np.isfinite(arr).all():
         at = tuple(np.argwhere(~np.isfinite(arr))[0])
         raise ValueError(f"{entry.format(*at)} is not finite: {arr[at]}")
+
+
+def _point(p) -> tuple:
+    """(x, y) as Python floats; a ValueError naming `p` unless it is two finite reals."""
+    try:  # indexed, not unpacked: unpacking a numpy row costs a microsecond
+        x, y = (p[0], p[1]) if len(p) == 2 else (None, None)
+    except (TypeError, LookupError):
+        x = y = None
+    if not ((isinstance(x, float) or _real(x)) and (isinstance(y, float) or _real(y))
+            and abs(x) < math.inf and abs(y) < math.inf):  # a float skips the call
+        raise ValueError(f"point {p!r} is not two finite real numbers (x, y)")
+    return float(x), float(y)
+
+
+def _rows(name: str, values, entry: str, width: int | None = None, ndmin: int = 0) -> np.ndarray:
+    """`values` as a float64 2-D array `width` wide (>= 1 when None); ndmin=2 takes
+    one row (N,) as (1, N).  Other input, ragged or not numbers, is a ValueError
+    naming `name`; a NaN or infinite entry is `_finite`'s error with `entry`."""
+    try:
+        arr = np.array(values, dtype=np.float64, copy=None, ndmin=ndmin)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{name} must be a 2-D array of real numbers: {e}") from None
+    if not (arr.ndim == 2 and (arr.shape[1] == width if width else arr.shape[1] > 0)):
+        raise ValueError(f"{name} must be a 2-D array of width {width or '>= 1'}, got {arr.shape}")
+    _finite(arr, entry)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -90,19 +121,16 @@ def _gray(image) -> np.ndarray:
 
     A colour Frame is weighted with BT.601 and rounded half-up to whole
     levels; a grey Frame or a 2-D array is cast to float64.  This is the
-    pixel gate of every layer: an array with a NaN or infinite pixel is a
-    ValueError naming the first one (a Frame is uint8, so always finite).
+    pixel gate of every layer: an array goes through `_rows`, which names
+    its first NaN or infinite pixel (a Frame is uint8, so always finite).
     """
-    if isinstance(image, Frame) and image.channels == 3:
-        rgb = image.data.astype(np.float64)
-        y = rgb[..., 0] * GRAY_WEIGHTS[0] + rgb[..., 1] * GRAY_WEIGHTS[1] + rgb[..., 2] * GRAY_WEIGHTS[2]
-        return np.clip(np.floor(y + 0.5), 0, 255)
-    arr = np.asarray(image.data if isinstance(image, Frame) else image, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"expected a Frame or a 2-D grayscale array, got shape {arr.shape}")
     if not isinstance(image, Frame):
-        _finite(arr, "pixel (x={1}, y={0})")
-    return arr
+        return _rows("image", image, "pixel (x={1}, y={0})")
+    rgb = image.data.astype(np.float64)
+    if image.channels == 1:
+        return rgb
+    y = rgb[..., 0] * GRAY_WEIGHTS[0] + rgb[..., 1] * GRAY_WEIGHTS[1] + rgb[..., 2] * GRAY_WEIGHTS[2]
+    return np.clip(np.floor(y + 0.5), 0, 255)
 
 
 def _bilinear(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -229,7 +257,7 @@ class ObjectPath:
     period and phase) and circle (radius, period, phase).  All kinds accept
     z0/dz so any of them can drift in depth, and ``patch`` sets the sprite
     size.  Any other key is rejected, so a misspelt one cannot fall back to
-    its default.
+    its default, and every value but ``patch`` must be a finite number.
     """
 
     kind: str
@@ -245,6 +273,9 @@ class ObjectPath:
         if not self._KEYS.issuperset(self.params):
             bad = sorted(self.params.keys() - self._KEYS)
             raise ValueError(f"unknown object path parameters {bad} for kind {self.kind!r}")
+        for k, v in self.params.items():  # patch is the scene's to check; a float skips the call
+            if k != "patch" and not ((isinstance(v, float) or _real(v)) and abs(v) < math.inf):
+                raise ValueError(f"object path {k} must be a finite number, got {v!r}")
 
     def center(self, t: float) -> tuple:
         """(u, v, Z): left-image position and depth at frame t."""
@@ -264,8 +295,7 @@ class ObjectPath:
 
 def _check_sprite_size(name: str, size) -> None:
     # whole floats such as 9.0 pass, unlike `_count`
-    if isinstance(size, bool) or not (isinstance(size, _REAL) and float(size).is_integer()
-                                      and size >= 1):
+    if not (_real(size) and float(size).is_integer() and size >= 1):
         raise ValueError(f"{name} must be an integer >= 1, got {size!r}")
 
 
@@ -291,14 +321,15 @@ class SceneSpec:
 
     def __post_init__(self):
         # every disparity is focal * baseline / Z, so the product must be finite
-        if not (self.baseline > 0 and self.focal > 0 and math.isfinite(self.focal * self.baseline)):
+        if not (_real(self.baseline) and _real(self.focal) and self.baseline > 0
+                and self.focal > 0 and math.isfinite(self.focal * self.baseline)):
             raise ValueError(f"baseline and focal must be > 0 with a finite product, "
                              f"got baseline={self.baseline!r}, focal={self.focal!r}")
         for name, least in (("width", 1), ("height", 1), ("frames", 2), ("seed", 0)):
             _count(name, getattr(self, name), least)
-        if not 0 <= self.noise_sigma < math.inf:
+        if not (_real(self.noise_sigma) and 0 <= self.noise_sigma < math.inf):
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
-        if not (isinstance(self.background, numbers.Real) and math.isfinite(self.background)):
+        if not (_real(self.background) and math.isfinite(self.background)):
             raise ValueError(f"background must be a finite number, got {self.background!r}")
         if not self.objects:
             raise ValueError("scene needs at least one object")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .media import _count, _finite
+from .media import _count, _rows
 
 MAX_ORDER = 7
 
@@ -34,10 +34,7 @@ def descriptor_dim(n: int, l: int, r: int) -> int:
 
 def describe(traj, r: int) -> ShapeDescriptor:
     """Concatenation of derivatives of orders 1..r of an (l+1, n) point array."""
-    pts = np.asarray(traj, dtype=np.float64)
-    if pts.ndim != 2:
-        raise ValueError("trajectory must be a 2-D point array")
-    _finite(pts, "trajectory point {0}")
+    pts = _rows("trajectory", traj, "trajectory point {0}")
     l = len(pts) - 1
     n = pts.shape[1]
     _count("order", r)

@@ -196,6 +196,11 @@ class TestFitGmm:
         with pytest.raises(ValueError, match=rf"descriptors must be a 2-D array .*{shape}"):
             fit_gmm(np.zeros(shape), k=1)
 
+    def test_ragged_descriptors_named(self):
+        with pytest.raises(ValueError, match=r"^descriptors must be a 2-D array of real numbers: "
+                                             r".*inhomogeneous"):
+            fit_gmm([[1.0, 2.0], [3.0]], k=1)
+
     def test_variance_floor(self):
         X = np.tile([[1.0, 2.0]], (10, 1))  # zero variance data
         cb = fit_gmm(X, k=1)
@@ -338,8 +343,18 @@ class TestFisherVector:
 
     def test_dimension_mismatch(self):
         cb = make_codebook(n=4)
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match=r"^descriptors must be a 2-D array of width 4, "
+                                             r"got \(5, 3\)$"):
             fisher_vector(np.zeros((5, 3)), cb)
+
+    @pytest.mark.parametrize("descriptors, named", [
+        (np.zeros((2, 3, 4)), r"of width 3, got \(2, 3, 4\)$"),
+        ([[1.0, 2.0, 3.0], [4.0, 5.0]], r"of real numbers: .*inhomogeneous"),
+    ], ids=["three_d", "ragged"])
+    def test_bad_shape_named(self, descriptors, named):
+        # a (2, 3, 4) set with N = 3 used to pass the width test and fail to broadcast
+        with pytest.raises(ValueError, match=f"^descriptors must be a 2-D array {named}"):
+            fisher_vector(descriptors, make_codebook(n=3))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):
@@ -366,8 +381,20 @@ class TestFisherVector:
 
     def test_log_likelihood_width_named(self):
         cb = make_codebook(n=3)
-        with pytest.raises(ValueError, match=r"X must be \(T, 3\) .*\(5, 2\)"):
+        with pytest.raises(ValueError, match=r"^X must be a 2-D array of width 3, got \(5, 2\)$"):
             gmm_log_likelihood(np.zeros((5, 2)), cb.weights, cb.means, cb.variances)
+
+    @pytest.mark.parametrize("X, named", [
+        (np.zeros((2, 4, 3)), r"X must be a 2-D array of width 3, got \(2, 4, 3\)"),
+        ([[1.0, 2.0, 3.0], [4.0, 5.0]], r"X must be a 2-D array of real numbers: .*inhomogeneous"),
+        ([[0.0, 0.0, 0.0], [1.0, np.nan, 0.0]], r"X row 1 entry 1 is not finite: nan"),
+        ([[0.0, 0.0, 0.0], [1.0, 0.0, -np.inf]], r"X row 1 entry 2 is not finite: -inf"),
+    ], ids=["three_d", "ragged", "nan_row", "inf_row"])
+    def test_log_likelihood_bad_input_named(self, X, named):
+        # a NaN or infinite row used to give a silent NaN total
+        cb = make_codebook(n=3)
+        with pytest.raises(ValueError, match=f"^{named}"):
+            gmm_log_likelihood(X, cb.weights, cb.means, cb.variances)
 
     def test_gradient_matches_finite_differences(self):
         # pre-normalization blocks = (1/T) * Fisher normalizer * grad loglik

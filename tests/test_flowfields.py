@@ -387,6 +387,7 @@ class TestLkTrack:
         (np.zeros((3, 3)), r"\(3, 3\)"),
         (np.zeros((2, 1, 2)), r"\(2, 1, 2\)"),
         (np.zeros((0, 3)), r"\(0, 3\)"),
+        ([(30.0, 30.0), (40.0,)], r"^points must be a 2-D array of real numbers: .*inhomogeneous"),
     ])
     def test_points_shape_rejected(self, points, shape):
         img = smooth_texture(2)
@@ -667,13 +668,15 @@ class TestSampleFlow:
 
     @pytest.mark.parametrize("p", [(-0.01, 1.0), (1.0, 2.01), (np.nan, 1.0), (1.0, np.inf)])
     def test_just_outside_or_non_finite_rejected(self, p):
-        with pytest.raises(ValueError, match="outside"):
+        # a NaN or infinite coordinate fails the point rule before the bounds test
+        message = "outside" if np.isfinite(p).all() else r"is not two finite real numbers"
+        with pytest.raises(ValueError, match=message):
             sample_flow(self.field(), p)
 
     @pytest.mark.parametrize("p", [(1.0,), (1, 2, 3), "12", np.array([1.0, 2.0, 3.0]),
-                                   ("1", 2), 1.5, None])
+                                   ("1", 2), 1.5, None, (True, 1.0), (1.0, np.bool_(True))])
     def test_malformed_point_named(self, p):
-        with pytest.raises(ValueError, match=r"point .* is not two real numbers"):
+        with pytest.raises(ValueError, match=r"point .* is not two finite real numbers"):
             sample_flow(self.field(), p)
 
     @pytest.mark.parametrize("p", [(1, 2), [1.0, 2.0], np.array([1.0, 2.0]),

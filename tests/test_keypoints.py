@@ -234,8 +234,9 @@ class TestDescribePatch:
             describe_patch(img, (20, 20))
 
     @pytest.mark.parametrize("p", [(20.0, 20.0, 5.0), (np.inf, 20.0), (20.0, np.nan), (20.0,),
-                                   "20", 20.0, None, ("20", 20)],
-                             ids=["three", "inf", "nan", "one", "text", "scalar", "none", "text_x"])
+                                   "20", 20.0, None, ("20", 20), (True, 20.0)],
+                             ids=["three", "inf", "nan", "one", "text", "scalar", "none", "text_x",
+                                  "bool_x"])
     def test_bad_point_named(self, p):
         img = np.random.default_rng(2).uniform(0, 255, (40, 40))
         with pytest.raises(ValueError, match=f"^point {re.escape(repr(p))} is not two finite real"):
@@ -360,9 +361,22 @@ class TestMatchReciprocal:
         assert got == match_reciprocal_oracle(a, b, ratio)
         assert all(type(i) is int and type(j) is int for i, j in got)
 
-    def test_width_mismatch_names_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(3, 4\).*\(2, 5\)"):
+    def test_width_mismatch_names_b_width_and_shape(self):
+        with pytest.raises(ValueError, match=r"^b must be a 2-D array of width 4, got \(2, 5\)$"):
             match_reciprocal(np.ones((3, 4)), np.ones((2, 5)))
+
+    @pytest.mark.parametrize("a, b, named", [
+        (np.ones((3, 4, 2)), np.ones((2, 4, 2)), r"a must be a 2-D array of width >= 1, "
+                                                  r"got \(3, 4, 2\)$"),
+        (np.ones((3, 4)), np.ones((2, 4, 2)), r"b must be a 2-D array of width 4, got \(2, 4, 2\)$"),
+        ([[1.0, 2.0], [3.0]], [[1.0, 2.0]], r"a must be a 2-D array of real numbers: .*inhomogeneous"),
+        ([[1.0, 2.0]], [[1.0, 2.0], [3.0]], r"b must be a 2-D array of real numbers: .*inhomogeneous"),
+        (np.ones((3, 0)), np.ones((2, 0)), r"a must be a 2-D array of width >= 1, got \(3, 0\)$"),
+    ], ids=["a_three_d", "b_three_d", "a_ragged", "b_ragged", "no_columns"])
+    def test_bad_shape_named(self, a, b, named):
+        # (3, 4, 2) against (2, 4, 2) used to raise an IndexError inside numpy
+        with pytest.raises(ValueError, match=f"^{named}"):
+            match_reciprocal(a, b)
 
     def test_non_finite_descriptor_names_side_row_and_entry(self):
         with pytest.raises(ValueError, match=r"^a descriptor 0 entry 0 is not finite: nan$"):

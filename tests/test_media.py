@@ -160,6 +160,42 @@ class TestInputRules:
         media._finite(np.arange(6.0).reshape(2, 3), "entry {0}")
         media._finite(np.zeros((0, 3)), "entry {0}")
 
+    @pytest.mark.parametrize("p", [(1, 2), [1.5, -2.0], np.array([1.0, 2.0]),
+                                   (np.int64(1), np.float32(2.0)), (Fraction(1, 2), 2)])
+    def test_point_gives_python_floats(self, p):
+        x, y = media._point(p)
+        assert type(x) is float and type(y) is float
+        assert (x, y) == (float(p[0]), float(p[1]))
+
+    @pytest.mark.parametrize("p", [(True, 1.0), (1.0, np.bool_(False)), (np.nan, 1.0),
+                                   (1.0, -np.inf), (1.0,), (1, 2, 3), "12", ("1", 2), 1.5, None,
+                                   np.zeros((1, 2))])
+    def test_point_rejects_with_value(self, p):
+        message = f"point {p!r} is not two finite real numbers (x, y)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            media._point(p)
+
+    def test_rows_converts_without_copying_float_arrays(self):
+        arr = np.arange(6.0).reshape(3, 2)
+        assert media._rows("v", arr, "v {0}", 2) is arr
+        got = media._rows("v", [[1, 2]], "v {0}")
+        assert got.dtype == np.float64 and got.shape == (1, 2)
+        assert media._rows("v", np.zeros((0, 4)), "v {0}", 4).shape == (0, 4)
+        assert media._rows("v", [1.0, 2.0], "v {0}", 2, ndmin=2).shape == (1, 2)
+
+    @pytest.mark.parametrize("values, width, message", [
+        (np.zeros((3, 2, 2)), None, r"v must be a 2-D array of width >= 1, got (3, 2, 2)"),
+        (np.zeros((3, 0)), None, r"v must be a 2-D array of width >= 1, got (3, 0)"),
+        (np.zeros(3), None, r"v must be a 2-D array of width >= 1, got (3,)"),
+        (np.zeros((3, 2)), 3, r"v must be a 2-D array of width 3, got (3, 2)"),
+        ([[1.0, 2.0], [3.0]], None, "v must be a 2-D array of real numbers: setting an array"),
+        ([["a", "b"]], None, "v must be a 2-D array of real numbers: could not convert"),
+        ([[1.0, np.inf], [np.nan, 0.0]], None, "v row 0 col 1 is not finite: inf"),
+    ], ids=["three_d", "no_columns", "one_d", "width", "ragged", "text", "inf"])
+    def test_rows_rejects_naming_input(self, values, width, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            media._rows("v", values, "v row {0} col {1}", width)
+
 
 class TestBilinear:
     @pytest.mark.parametrize("shape", [(6, 7), (1, 5), (5, 1), (1, 1)])
@@ -365,6 +401,7 @@ class TestSceneSpec:
         ("height", np.bool_(True)), ("frames", True),
         ("background", float("inf")), ("background", None),
         ("seed", True), ("seed", np.bool_(True)), ("patch", True), ("noise_sigma", float("inf")),
+        ("noise_sigma", True), ("noise_sigma", "1"), ("background", True),
     ])
     def test_bad_value_names_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
@@ -372,13 +409,13 @@ class TestSceneSpec:
 
     @pytest.mark.parametrize("kw", [dict(focal=float("nan")), dict(baseline=float("nan")),
                                     dict(focal=0.0), dict(focal=float("inf")),
-                                    dict(baseline=1e308)])
+                                    dict(baseline=1e308), dict(focal="1"), dict(baseline=True)])
     def test_bad_rig_rejected(self, kw):
         with pytest.raises(ValueError, match="baseline and focal"):
             simple_spec(**kw)
 
     def test_nan_depth_rejected(self):
-        with pytest.raises(ValueError, match="depth"):
+        with pytest.raises(ValueError, match="^object path z0 must be a finite number, got nan$"):
             simple_spec(objects=(ObjectPath("line", {"u0": 20.0, "v0": 20.0,
                                                      "z0": float("nan")}),))
 
@@ -451,6 +488,15 @@ class TestObjectPath:
     def test_unknown_parameter_named(self, kind, key):
         with pytest.raises(ValueError, match=repr(key)):
             ObjectPath(kind, {"u0": 10.0, key: 2.0})
+
+    @pytest.mark.parametrize("key, value", [
+        ("u0", "3"), ("u0", float("nan")), ("dz", float("inf")), ("period", True), ("amp", None),
+    ])
+    def test_bad_value_named(self, key, value):
+        # the sprite size is left to SceneSpec, which names the object
+        with pytest.raises(ValueError, match=f"^object path {key} must be a finite number, "
+                                             f"got {re.escape(repr(value))}$"):
+            ObjectPath("vosc", {"u0": 10.0, key: value})
 
     def test_every_known_parameter_accepted_by_every_kind(self):
         # keys are not checked per kind: the trajectory corpus gives `line` paths a phase

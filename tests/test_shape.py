@@ -77,6 +77,15 @@ class TestDescribe:
         with pytest.raises(ValueError, match=f"point {row} is not finite"):
             describe(pts, r=2)
 
+    @pytest.mark.parametrize("traj, named", [
+        (np.zeros((6, 2, 2)), r"of width >= 1, got \(6, 2, 2\)$"),
+        (np.zeros(6), r"of width >= 1, got \(6,\)$"),
+        ([[0.0, 1.0], [2.0]], r"of real numbers: .*inhomogeneous"),
+    ], ids=["three_d", "one_d", "ragged"])
+    def test_bad_shape_named(self, traj, named):
+        with pytest.raises(ValueError, match=f"^trajectory must be a 2-D array {named}"):
+            describe(traj, r=1)
+
     @pytest.mark.parametrize("r", [2.0, True, 0, "2"])
     def test_bad_order_named(self, r):
         with pytest.raises(ValueError, match=rf"order must be an integer >= 1, got {r!r}"):
