@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .media import _count, _rows
+from .media import _count, _no_rows, _rows
 
 VARIANCE_FLOOR = 1e-6
 EM_TOL = 1e-6
@@ -161,7 +161,7 @@ def fisher_vector(descriptors, codebook: FisherCodebook) -> np.ndarray:
     normalized mean and variance gradients, then signed square root and L2
     normalization.  An empty set encodes to the zero vector."""
     K, N = codebook.k, codebook.dim
-    if len(descriptors) == 0:
+    if _no_rows(descriptors):
         return np.zeros(2 * N * K)
     X = _rows("descriptors", descriptors, "descriptor {0} entry {1}", N, ndmin=2)
     fv = _fv_blocks(X, codebook).ravel()

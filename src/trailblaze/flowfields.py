@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .media import _bilinear, _count, _gray, _point, _rows
+from .media import _bilinear, _count, _gray, _no_rows, _point, _rows
 
 BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
@@ -111,7 +111,7 @@ def lk_track(prev, next, points, levels: int = 3, window: int = 15) -> list:
     _count("window", window, 5, "an odd integer")
     if window % 2 == 0:
         raise ValueError(f"window must be an odd integer >= 5, got {window!r}")
-    if len(points) == 0 and np.ndim(points) == 1:  # no points; (0, 2) yields [] below
+    if _no_rows(points) and np.ndim(points) == 1:  # [], while (0, 2) yields [] below
         return []
     pts = _rows("points", points, "point {0}", 2)
     half = window // 2

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .media import _count, _gray, _point, _real, _rows
+from .media import _count, _finite_real, _gray, _no_rows, _point, _rows
 
 # 16-pixel Bresenham circle of radius 3, clockwise from the top
 CIRCLE = [(0, -3), (1, -3), (2, -2), (3, -1), (3, 0), (3, 1), (2, 2), (1, 3),
@@ -51,7 +51,7 @@ def detect_fast(gray, threshold: float = 20.0) -> list:
     h, w = img.shape
     if h < 7 or w < 7:
         raise ValueError(f"frame {w}x{h} smaller than 7x7")
-    if not (_real(threshold) and 0 < threshold < np.inf):
+    if not (_finite_real(threshold) and threshold > 0):
         raise ValueError(f"threshold must be a finite number > 0, got {threshold!r}")
 
     center = img[3:h - 3, 3:w - 3]
@@ -119,7 +119,7 @@ def match_reciprocal(a, b) -> list:
     """Mutual nearest-neighbor pairs (i, j) passing Lowe's ratio test with
     MATCH_RATIO in both directions; singleton sets skip the ratio test.
     Sorted by index_a."""
-    if len(a) == 0 or len(b) == 0:
+    if _no_rows(a) or _no_rows(b):
         return []
     A = _rows("a", a, "a descriptor {0} entry {1}", ndmin=2)
     B = _rows("b", b, "b descriptor {0} entry {1}", A.shape[1], ndmin=2)

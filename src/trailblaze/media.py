@@ -4,8 +4,8 @@ ground-truth-bearing synthetic stereo generator.
 Clips are directories of binary PGM (P5) / PPM (P6) frames named
 ``frame_000000.pgm`` onwards.  The layers that read pixels convert them with
 ``_gray`` (float64 grayscale in 0-255 units) and sample them with
-``_bilinear``.  Every layer checks its inputs with four shared rules (``_count``,
-``_finite``, ``_point`` and ``_rows``) and one test of a real number (``_real``).
+``_bilinear``.  Every layer checks its inputs with the shared rules here: ``_count``,
+``_finite``, ``_point``, ``_no_rows``, ``_rows``, ``_real`` and ``_finite_real``.
 The synthetic generator renders textured square sprites moving along
 parametric paths, seen by a rectified pinhole stereo pair with horizontal
 baseline, and reports exact per-frame projections, disparities and the
@@ -31,6 +31,11 @@ def _real(value) -> bool:
     return isinstance(value, _REAL) and not isinstance(value, bool)
 
 
+def _finite_real(value) -> bool:
+    """True for a finite real number, numpy's included, a float without a call; False for a bool."""
+    return (isinstance(value, float) or _real(value)) and abs(value) < math.inf
+
+
 def _count(name: str, value, least: int = 1, what: str = "an integer") -> None:
     """A ValueError naming `name` unless `value` is an integer >= `least`, worded
     as `what`, e.g. "an odd integer"; numpy integers pass, bools and floats do not."""
@@ -53,10 +58,17 @@ def _point(p) -> tuple:
         x, y = (p[0], p[1]) if len(p) == 2 else (None, None)
     except (TypeError, LookupError):
         x = y = None
-    if not ((isinstance(x, float) or _real(x)) and (isinstance(y, float) or _real(y))
-            and abs(x) < math.inf and abs(y) < math.inf):  # a float skips the call
+    if not (_finite_real(x) and _finite_real(y)):
         raise ValueError(f"point {p!r} is not two finite real numbers (x, y)")
     return float(x), float(y)
+
+
+def _no_rows(values) -> bool:
+    """True for [] or a (0, N) array; False for a scalar, left for `_rows` to name."""
+    try:
+        return len(values) == 0
+    except TypeError:
+        return False
 
 
 def _rows(name: str, values, entry: str, width: int | None = None, ndmin: int = 0) -> np.ndarray:
@@ -64,7 +76,7 @@ def _rows(name: str, values, entry: str, width: int | None = None, ndmin: int = 
     one row (N,) as (1, N).  Other input, ragged or not numbers, is a ValueError
     naming `name`; a NaN or infinite entry is `_finite`'s error with `entry`."""
     try:
-        arr = np.array(values, dtype=np.float64, copy=None, ndmin=ndmin)
+        arr = np.asarray(np.atleast_2d(values) if ndmin == 2 else values, dtype=np.float64)
     except (TypeError, ValueError) as e:
         raise ValueError(f"{name} must be a 2-D array of real numbers: {e}") from None
     if not (arr.ndim == 2 and (arr.shape[1] == width if width else arr.shape[1] > 0)):
@@ -273,8 +285,8 @@ class ObjectPath:
         if not self._KEYS.issuperset(self.params):
             bad = sorted(self.params.keys() - self._KEYS)
             raise ValueError(f"unknown object path parameters {bad} for kind {self.kind!r}")
-        for k, v in self.params.items():  # patch is the scene's to check; a float skips the call
-            if k != "patch" and not ((isinstance(v, float) or _real(v)) and abs(v) < math.inf):
+        for k, v in self.params.items():  # patch is the scene's to check
+            if not _finite_real(v) and k != "patch":
                 raise ValueError(f"object path {k} must be a finite number, got {v!r}")
 
     def center(self, t: float) -> tuple:
@@ -327,9 +339,9 @@ class SceneSpec:
                              f"got baseline={self.baseline!r}, focal={self.focal!r}")
         for name, least in (("width", 1), ("height", 1), ("frames", 2), ("seed", 0)):
             _count(name, getattr(self, name), least)
-        if not (_real(self.noise_sigma) and 0 <= self.noise_sigma < math.inf):
+        if not (_finite_real(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
-        if not (_real(self.background) and math.isfinite(self.background)):
+        if not _finite_real(self.background):
             raise ValueError(f"background must be a finite number, got {self.background!r}")
         if not self.objects:
             raise ValueError("scene needs at least one object")

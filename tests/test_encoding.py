@@ -350,11 +350,16 @@ class TestFisherVector:
     @pytest.mark.parametrize("descriptors, named", [
         (np.zeros((2, 3, 4)), r"of width 3, got \(2, 3, 4\)$"),
         ([[1.0, 2.0, 3.0], [4.0, 5.0]], r"of real numbers: .*inhomogeneous"),
-    ], ids=["three_d", "ragged"])
+        (5.0, r"of width 3, got \(1, 1\)$"),
+    ], ids=["three_d", "ragged", "scalar"])
     def test_bad_shape_named(self, descriptors, named):
         # a (2, 3, 4) set with N = 3 used to pass the width test and fail to broadcast
         with pytest.raises(ValueError, match=f"^descriptors must be a 2-D array {named}"):
             fisher_vector(descriptors, make_codebook(n=3))
+
+    def test_scalar_is_one_descriptor_when_n_is_1(self):
+        cb = make_codebook(n=1)
+        np.testing.assert_array_equal(fisher_vector(5.0, cb), fisher_vector([[5.0]], cb))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, bad):

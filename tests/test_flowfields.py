@@ -388,6 +388,7 @@ class TestLkTrack:
         (np.zeros((2, 1, 2)), r"\(2, 1, 2\)"),
         (np.zeros((0, 3)), r"\(0, 3\)"),
         ([(30.0, 30.0), (40.0,)], r"^points must be a 2-D array of real numbers: .*inhomogeneous"),
+        (5.0, r"^points must be a 2-D array of width 2, got \(\)$"),
     ])
     def test_points_shape_rejected(self, points, shape):
         img = smooth_texture(2)

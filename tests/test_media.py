@@ -182,6 +182,25 @@ class TestInputRules:
         assert got.dtype == np.float64 and got.shape == (1, 2)
         assert media._rows("v", np.zeros((0, 4)), "v {0}", 4).shape == (0, 4)
         assert media._rows("v", [1.0, 2.0], "v {0}", 2, ndmin=2).shape == (1, 2)
+        assert media._rows("v", arr, "v {0}", 2, ndmin=2) is arr
+        assert media._rows("v", 5.0, "v {0}", 1, ndmin=2).shape == (1, 1)
+
+    @pytest.mark.parametrize("values, empty", [
+        ([], True), ((), True), (np.zeros(0), True), (np.zeros((0, 2)), True),
+        ([[1.0, 2.0]], False), ([[1.0], [2.0, 3.0]], False),
+        (5.0, False), (np.float64(5.0), False), (np.array(5.0), False), (None, False),
+    ])
+    def test_no_rows_only_for_empty_sequences(self, values, empty):
+        assert media._no_rows(values) is empty
+
+    @pytest.mark.parametrize("value, finite", [
+        (1, True), (-2.5, True), (np.float32(2.0), True), (np.int64(3), True),
+        (Fraction(1, 2), True), (True, False), (np.bool_(True), False), (math.nan, False),
+        (math.inf, False), (np.float64(-np.inf), False), ("1", False), (None, False),
+        (1 + 0j, False),
+    ])
+    def test_finite_real(self, value, finite):
+        assert media._finite_real(value) == finite
 
     @pytest.mark.parametrize("values, width, message", [
         (np.zeros((3, 2, 2)), None, r"v must be a 2-D array of width >= 1, got (3, 2, 2)"),
