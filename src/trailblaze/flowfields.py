@@ -3,20 +3,15 @@
 Both take frames or 2-D arrays in 0-255 units and divide every frame by 255,
 so all frames of a clip share one scale.  Borders replicate the edge; a
 pyramid of n levels is the full image plus up to n - 1 halvings (5x5 binomial
-antialiasing).
-Lucas-Kanade solves all points together, per pyramid level and per
-iteration, each point with its own convergence test, and gathers its
-gradients and template with one stacked `_bilinear` call per level.
+antialiasing).  Lucas-Kanade solves all points together, per pyramid level
+and per iteration, each point with its own convergence test.
 
-Farneback expands each frame's pyramid levels into (5, h, w) coefficient
-stacks; each refinement warps the five coefficients of the second frame with
-one stacked `_bilinear` call.  An `lru_cache` of FB_MEMO_FRAMES frames keyed
-on exact content holds the expansions, so a frame that is `next` of one call
-and `prev` of the following one (or of a left-to-right call) is expanded once.
-The memoised stacks are read-only.  The refinement and `_solve_flow` write
-only into buffers the call allocates: the warped stack becomes the averaged
-A and the right-hand side, and one (5, h, w) stack holds the products, their
-window sums and u and v.
+Farneback fits every pixel of every pyramid level a quadratic under a
+separable Gaussian applicability, in closed form: one separable filter per
+coefficient (A11, A12, A22, b1, b2).  The last two frames' expansions are
+memoised, read-only, on exact content, so the dense tracker expands each
+frame once.  Each refinement warps the second frame's coefficients with one
+stacked `_bilinear` call and solves in buffers the call allocates.
 """
 
 from __future__ import annotations
@@ -41,9 +36,6 @@ FB_WINDOW = 15            # side of the box that averages the flow equations
 FB_ITERATIONS = 3         # refinements per pyramid level
 FB_POLY_N = 7             # side of the polynomial-expansion neighbourhood
 FB_POLY_SIGMA = 1.5       # its Gaussian applicability
-# frames whose expansions are memoised: two suffice for the dense tracker's
-# order, left t-1 -> t and then left t -> right t
-FB_MEMO_FRAMES = 2
 
 
 @dataclass(frozen=True)
@@ -185,57 +177,39 @@ def lk_track(prev, next, points, levels: int = 3, window: int = 15) -> list:
 # Farneback polynomial-expansion flow
 
 
-def _poly_basis(n: int, sigma: float):
-    """1-D applicability kernels (g, x·g, x²·g) and the projection onto
-    (A11, A12, A22, b1, b2): rows (x², xy, y², x, y) of the inverse metric of
-    the basis (1, x, y, x², y², xy) under the separable Gaussian weight."""
-    half = n // 2
-    xs = np.arange(-half, half + 1, dtype=np.float64)
+def _poly_kernels(n: int, sigma: float):
+    """Gaussian applicability g (sum 1) on offsets x = -n//2..n//2, x·g,
+    q = (x² - m2)·g / (m4 - m2²) and m2, where mk = sum x^k·g."""
+    xs = np.arange(-(n // 2), n // 2 + 1, dtype=np.float64)
     g = np.exp(-(xs ** 2) / (2.0 * sigma ** 2))
     g /= g.sum()
-    xg = xs * g
-    x2g = xs ** 2 * g
-
-    m2 = float(np.sum(x2g))
-    m4 = float(np.sum(xs ** 4 * g))
-    G = np.array([
-        [1.0, 0.0, 0.0, m2, m2, 0.0],
-        [0.0, m2, 0.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, m2, 0.0, 0.0, 0.0],
-        [m2, 0.0, 0.0, m4, m2 * m2, 0.0],
-        [m2, 0.0, 0.0, m2 * m2, m4, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 0.0, m2 * m2],
-    ])
-    rows = np.linalg.inv(G)[[3, 5, 4, 1, 2]]
-    rows[1] /= 2.0  # A12 is half the xy coefficient; a power-of-two scale is exact
-    return (g, xg, x2g), rows
+    m2, m4 = (float(np.sum(xs ** k * g)) for k in (2, 4))
+    return g, xs * g, (xs ** 2 - m2) * g / (m4 - m2 * m2), m2
 
 
-_POLY_KERNELS, _POLY_ROWS = _poly_basis(FB_POLY_N, FB_POLY_SIGMA)
+_POLY_KERNELS = _poly_kernels(FB_POLY_N, FB_POLY_SIGMA)
 
 
 def _poly_expand(img: np.ndarray) -> np.ndarray:
     """Per-pixel quadratic fit f ~ c + b.x + x'Ax under Gaussian applicability.
 
     Returns the (5, h, w) stack (A11, A12, A22, b1, b2); coordinates are
-    (x, y) with x along columns.
+    (x, y) with x along columns.  1, x, y, x² - m2, y² - m2 and xy are
+    orthogonal under the separable applicability, so each coefficient is one
+    separable filter: three passes along y (g, x·g, q) feed five along x.
     """
-    g, xg, x2g = _POLY_KERNELS
-    rows = np.empty((3,) + img.shape)
-    for kernel_y, out in zip(_POLY_KERNELS, rows):
-        ndimage.correlate1d(img, kernel_y, axis=0, output=out, mode="nearest")
-    by_g, by_xg, by_x2g = rows
-    v = np.empty((6,) + img.shape)
-    for (by, kernel_x), out in zip([
-        (by_g, g),     # <1, f>
-        (by_g, xg),    # <x, f>
-        (by_xg, g),    # <y, f>
-        (by_g, x2g),   # <x^2, f>
-        (by_x2g, g),   # <y^2, f>
-        (by_xg, xg),   # <xy, f>
-    ], v):
-        ndimage.correlate1d(by, kernel_x, axis=1, output=out, mode="nearest")
-    return np.einsum("ij,jhw->ihw", _POLY_ROWS, v)
+    g, xg, q, m2 = _POLY_KERNELS
+    by_g, by_xg, by_q = (ndimage.correlate1d(img, k, axis=0, mode="nearest") for k in (g, xg, q))
+    out = np.empty((5,) + img.shape)
+    for (by, kernel_x), plane in zip([
+        (by_g, q),                      # A11 = <x² - m2, f> / (m4 - m2²)
+        (by_xg, xg / (2.0 * m2 * m2)),  # A12 = half the xy coefficient <xy, f> / m2²
+        (by_q, g),                      # A22
+        (by_g, xg / m2),                # b1 = <x, f> / m2
+        (by_xg, g / m2),                # b2
+    ], out):
+        ndimage.correlate1d(by, kernel_x, axis=1, output=plane, mode="nearest")
+    return out
 
 
 def _expansions(img: np.ndarray) -> tuple:
@@ -247,7 +221,9 @@ def _expansions(img: np.ndarray) -> tuple:
     return _expand_frame(img.shape, img.tobytes())
 
 
-@functools.lru_cache(maxsize=FB_MEMO_FRAMES)
+# frames whose expansions are memoised: two suffice for the dense tracker's
+# order, left t-1 -> t and then left t -> right t
+@functools.lru_cache(maxsize=2)
 def _expand_frame(shape: tuple, data: bytes) -> tuple:
     img = np.frombuffer(data).reshape(shape)
     levels = tuple(_poly_expand(p) for p in _pyramid(img, FB_LEVELS, FB_POLY_N + 2))

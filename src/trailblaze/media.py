@@ -269,7 +269,8 @@ class ObjectPath:
     period and phase) and circle (radius, period, phase).  All kinds accept
     z0/dz so any of them can drift in depth, and ``patch`` sets the sprite
     size.  Any other key is rejected, so a misspelt one cannot fall back to
-    its default, and every value but ``patch`` must be a finite number.
+    its default, and every value but ``patch`` must be a finite number; a
+    ``period`` must also leave 2*pi/period finite.
     """
 
     kind: str
@@ -288,6 +289,8 @@ class ObjectPath:
         for k, v in self.params.items():  # patch is the scene's to check
             if not _finite_real(v) and k != "patch":
                 raise ValueError(f"object path {k} must be a finite number, got {v!r}")
+            if k == "period" and not (v and math.isfinite(math.tau / float(v))):
+                raise ValueError(f"object path period must leave 2*pi/period finite, got {v!r}")
 
     def center(self, t: float) -> tuple:
         """(u, v, Z): left-image position and depth at frame t."""

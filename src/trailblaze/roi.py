@@ -63,7 +63,7 @@ def update_and_subtract(model: BackgroundModel, frame) -> tuple:
 
     # among matching components pick the highest-weight one
     best = np.argmax(np.where(matches, w, -1.0), axis=0)
-    any_match = np.take_along_axis(matches, best[None], axis=0)[0]
+    any_match = matches.any(axis=0)
 
     # background set: weight-sorted prefix reaching BG_RATIO; `ahead` holds,
     # in component order, the weight of the components sorted before each one

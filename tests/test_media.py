@@ -510,10 +510,14 @@ class TestObjectPath:
 
     @pytest.mark.parametrize("key, value", [
         ("u0", "3"), ("u0", float("nan")), ("dz", float("inf")), ("period", True), ("amp", None),
+        ("period", 0.0), ("period", -0.0), ("period", 0), ("period", 1e-320),
+        ("period", -5e-324), ("period", np.float64(1e-320)),
     ])
     def test_bad_value_named(self, key, value):
-        # the sprite size is left to SceneSpec, which names the object
-        with pytest.raises(ValueError, match=f"^object path {key} must be a finite number, "
+        # the sprite size is left to SceneSpec, which names the object; a finite
+        # period too small for a finite 2*pi/period (zero, subnormal) has its own rule
+        rule = "leave 2\\*pi/period finite" if media._finite_real(value) else "be a finite number"
+        with pytest.raises(ValueError, match=f"^object path {key} must {rule}, "
                                              f"got {re.escape(repr(value))}$"):
             ObjectPath("vosc", {"u0": 10.0, key: value})
 
