@@ -16,11 +16,19 @@ vector read the same three moments per component in those coordinates,
 ``nₖ = Σγ``, ``γᵀ(X − c)`` and ``γᵀ(X − c)²``; the mean and variance
 gradients are ``Σγ(x − μ) = γᵀ(X − c) − nₖ(μ − c)`` and
 ``Σγ(x − μ)² = γᵀ(X − c)² − 2(μ − c)·γᵀ(X − c) + nₖ(μ − c)²``.
+
+Every term that depends only on the mixture (``c``, ``μ − c`` and twice
+it, the log-normaliser, ``((μ − c)/σ²)ᵀ``, ``(−½/σ²)ᵀ``, ``σ``, ``√w`` and
+``√(2w)``) is built by one helper.  A `FisherCodebook` builds them once, when it is
+made, from read-only float64 copies of its arrays, so each Fisher vector
+only reads them; EM builds them once per iteration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,13 +38,45 @@ VARIANCE_FLOOR = 1e-6
 EM_TOL = 1e-6
 
 
+class _Terms(NamedTuple):
+    """What the kernels read of a mixture, computed from its arrays alone."""
+    c: np.ndarray        # (N,) mixture mean, weights @ means
+    mc: np.ndarray       # (K, N) means − c
+    two_mc: np.ndarray   # (K, N) 2(μ − c)
+    const: np.ndarray    # (K,) log w − ½(Σ log σ² + Σ (μ − c)²/σ² + N log 2π)
+    lin: np.ndarray      # (N, K) ((μ − c)/σ²)ᵀ
+    quad: np.ndarray     # (N, K) (−½/σ²)ᵀ
+    scale: np.ndarray    # (2, K, N) √σ² and σ², dividing the mean and variance blocks
+    fisher: np.ndarray   # (2, K, 1) √w and √(2w), the blocks' Fisher normalisers
+
+
+def _codebook_terms(weights, means, variances) -> _Terms:
+    """The terms of a mixture, in the operations and order the kernels used
+    when they rebuilt them on every call, so their outputs keep every bit."""
+    c = weights @ means
+    mc = means - c
+    prec = 1.0 / variances
+    const = np.log(weights) - 0.5 * (np.log(variances).sum(axis=1) + (mc * mc * prec).sum(axis=1)
+                                     + means.shape[1] * np.log(2.0 * np.pi))
+    return _Terms(c, mc, 2.0 * mc, const, (mc * prec).T, (-0.5 * prec).T,
+                  np.stack([np.sqrt(variances), variances]),
+                  np.stack([np.sqrt(weights), np.sqrt(2.0 * weights)])[:, :, None])
+
+
 @dataclass(frozen=True)
 class FisherCodebook:
+    """A diagonal GMM.  Its arrays are read-only float64 copies of the ones
+    passed in, and the terms every encoding reads are built from them once."""
     weights: np.ndarray    # (K,)
     means: np.ndarray      # (K, N)
     variances: np.ndarray  # (K, N), diagonal
+    _terms: _Terms = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("weights", "means", "variances"):
+            arr = np.array(getattr(self, name), dtype=np.float64)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         k = len(self.weights)
         if (self.weights.ndim != 1 or self.means.ndim != 2 or len(self.means) != k
                 or self.variances.shape != self.means.shape):
@@ -51,6 +91,8 @@ class FisherCodebook:
             raise ValueError("mixture weights must sum to 1")
         if np.any(self.variances < VARIANCE_FLOOR - 1e-12):
             raise ValueError("variances fell below the floor")
+        object.__setattr__(self, "_terms",
+                           _codebook_terms(self.weights, self.means, self.variances))
 
     @property
     def k(self):
@@ -94,17 +136,13 @@ def _kmeanspp_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return X[picks]
 
 
-def _log_responsibilities(X, weights, means, variances):
-    """log γ (T, K) and each point's log-likelihood (T,) under the diagonal GMM."""
-    c = weights @ means
-    Xc = X - c
-    mc = means - c
-    prec = 1.0 / variances
-    const = np.log(weights) - 0.5 * (np.log(variances).sum(axis=1) + (mc * mc * prec).sum(axis=1)
-                                     + X.shape[1] * np.log(2.0 * np.pi))
-    log_joint = Xc @ (mc * prec).T                    # (T, K)
-    log_joint += np.square(Xc, out=Xc) @ (-0.5 * prec).T
-    log_joint += const
+def _log_responsibilities(Xc, terms: _Terms, sq=None):
+    """log γ (T, K) and each point's log-likelihood (T,) of the rows
+    Xc = X − c under the mixture of `terms`.  Xc is squared in place unless
+    its square is passed as `sq`."""
+    log_joint = Xc @ terms.lin                        # (T, K)
+    log_joint += (np.square(Xc, out=Xc) if sq is None else sq) @ terms.quad
+    log_joint += terms.const
     top = log_joint.max(axis=1)
     below_top = log_joint - top[:, None]
     norm = top + np.log(np.exp(below_top, out=below_top).sum(axis=1))
@@ -112,10 +150,11 @@ def _log_responsibilities(X, weights, means, variances):
     return log_joint, norm
 
 
-def _moments(X, gamma, c):
-    """Per component Σγ (K,), γᵀ(X − c) and γᵀ(X − c)² (K, N)."""
-    Xc = X - c
-    return gamma.sum(axis=0), gamma.T @ Xc, gamma.T @ np.square(Xc, out=Xc)
+def _moments(Xc, gamma, sq=None):
+    """Per component Σγ (K,), γᵀXc and γᵀXc² (K, N) of the rows Xc = X − c.
+    Xc is squared in place unless its square is passed as `sq`."""
+    return (gamma.sum(axis=0), gamma.T @ Xc,
+            gamma.T @ (np.square(Xc, out=Xc) if sq is None else sq))
 
 
 def fit_gmm(descriptors, k: int, seed: int = 0, max_iters: int = 100) -> FisherCodebook:
@@ -138,7 +177,8 @@ def fit_gmm(descriptors, k: int, seed: int = 0, max_iters: int = 100) -> FisherC
 
     prev_ll = -np.inf
     for it in range(max_iters):
-        log_gamma, point_ll = _log_responsibilities(X, weights, means, variances)
+        terms = _codebook_terms(weights, means, variances)
+        log_gamma, point_ll = _log_responsibilities(X - terms.c, terms)
         ll = float(point_ll.sum())
         if ll + 1e-8 * max(1.0, abs(ll)) < prev_ll:
             raise RuntimeError(f"EM log-likelihood decreased at iteration {it}: "
@@ -146,12 +186,11 @@ def fit_gmm(descriptors, k: int, seed: int = 0, max_iters: int = 100) -> FisherC
         if ll - prev_ll < EM_TOL * len(X):
             break
         prev_ll = ll
-        c = weights @ means
-        nk, s1, s2 = _moments(X, np.exp(log_gamma), c)
+        nk, s1, s2 = _moments(X - terms.c, np.exp(log_gamma, out=log_gamma))
         nk = np.maximum(nk, 1e-12)
         weights = nk / nk.sum()
         d = s1 / nk[:, None]
-        means = c + d
+        means = terms.c + d
         variances = np.maximum(s2 / nk[:, None] - d * d, VARIANCE_FLOOR)
     return FisherCodebook(weights=weights, means=means, variances=variances)
 
@@ -165,29 +204,38 @@ def fisher_vector(descriptors, codebook: FisherCodebook) -> np.ndarray:
         return np.zeros(2 * N * K)
     X = _rows("descriptors", descriptors, "descriptor {0} entry {1}", N, ndmin=2)
     fv = _fv_blocks(X, codebook).ravel()
-    fv = np.sign(fv) * np.sqrt(np.abs(fv))
-    norm = np.linalg.norm(fv)
-    return fv / norm if norm > 0 else fv
+    root = np.abs(fv)
+    fv = np.copysign(np.sqrt(root, out=root), fv, out=fv)
+    fv += 0.0  # sign(x)·√|x| is +0 at x = −0, where copysign gives −0; + 0.0 maps only −0
+    norm = math.sqrt(fv.dot(fv))
+    if norm > 0:
+        fv /= norm
+    return fv
 
 
 def _fv_blocks(X, codebook: FisherCodebook) -> np.ndarray:
     """Pre-normalization gradient blocks, shape (2, K, N): means then variances."""
     T = len(X)
-    w, means, variances = codebook.weights, codebook.means, codebook.variances
-    log_gamma, _ = _log_responsibilities(X, w, means, variances)
-    c = w @ means
-    nk, s1, s2 = _moments(X, np.exp(log_gamma), c)
-    mc = means - c
+    terms = codebook._terms
+    Xc = X - terms.c
+    sq = np.square(Xc)
+    log_gamma, _ = _log_responsibilities(Xc, terms, sq)
+    nk, s1, s2 = _moments(Xc, np.exp(log_gamma, out=log_gamma), sq)
     nk = nk[:, None]
-    d1 = s1 - nk * mc                         # Σγ (x − μ)
-    d2 = s2 - 2.0 * mc * s1 + nk * mc * mc    # Σγ (x − μ)²
-    g_mu = d1 / np.sqrt(variances) / (T * np.sqrt(w)[:, None])
-    g_sig = (d2 / variances - nk) / (T * np.sqrt(2.0 * w)[:, None])
-    return np.stack([g_mu, g_sig])
+    nk_mc = nk * terms.mc
+    blocks = np.empty((2,) + s1.shape)
+    np.subtract(s1, nk_mc, out=blocks[0])                        # Σγ (x − μ)
+    np.subtract(s2, terms.two_mc * s1, out=blocks[1])            # Σγ (x − μ)²
+    blocks[1] += nk_mc * terms.mc
+    blocks /= terms.scale
+    blocks[1] -= nk
+    blocks /= T * terms.fisher
+    return blocks
 
 
 def gmm_log_likelihood(X, weights, means, variances) -> float:
     """Total log-likelihood of X under the diagonal GMM (oracle hook)."""
     X = _rows("X", X, "X row {0} entry {1}", means.shape[1], ndmin=2)
-    _, point_ll = _log_responsibilities(X, weights, means, variances)
+    terms = _codebook_terms(weights, means, variances)
+    _, point_ll = _log_responsibilities(X - terms.c, terms)
     return float(point_ll.sum())

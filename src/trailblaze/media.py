@@ -270,7 +270,9 @@ class ObjectPath:
     z0/dz so any of them can drift in depth, and ``patch`` sets the sprite
     size.  Any other key is rejected, so a misspelt one cannot fall back to
     its default, and every value but ``patch`` must be a finite number; a
-    ``period`` must also leave 2*pi/period finite.
+    ``period`` must also leave 2*pi/period finite, and `center` names the
+    period when the phase 2*pi*t/period + phase it asks for is not finite,
+    so a `SceneSpec` rejects a period too short for its frame count.
     """
 
     kind: str
@@ -299,11 +301,14 @@ class ObjectPath:
         z = p.get("z0", 3.0) + p.get("dz", 0.0) * t
         if self.kind == "line":
             return (u0 + p.get("du", 0.0) * t, v0 + p.get("dv", 0.0) * t, z)
+        period = p.get("period", 20.0 if self.kind == "vosc" else 24.0)
+        ph = 2.0 * math.pi * t / period + p.get("phase", 0.0)
+        if not math.isfinite(ph):
+            raise ValueError(f"object path period {period!r} leaves the phase at frame {t!r} "
+                             f"infinite")
         if self.kind == "vosc":
-            ph = 2.0 * math.pi * t / p.get("period", 20.0) + p.get("phase", 0.0)
             return (u0 + p.get("du", 0.0) * t, v0 + p.get("amp", 5.0) * math.sin(ph), z)
         # circle
-        ph = 2.0 * math.pi * t / p.get("period", 24.0) + p.get("phase", 0.0)
         r = p.get("radius", 6.0)
         return (u0 + r * math.cos(ph), v0 + r * math.sin(ph), z)
 

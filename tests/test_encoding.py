@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trailblaze import encoding
+from bench import corpus
+from trailblaze import encoding, shape
 from trailblaze.encoding import (
-    FisherCodebook, _fv_blocks, _kmeanspp_centers, _log_responsibilities, fisher_vector,
-    fit_gmm, gmm_log_likelihood,
+    EM_TOL, VARIANCE_FLOOR, FisherCodebook, _codebook_terms, _fv_blocks, _kmeanspp_centers,
+    _log_responsibilities, fisher_vector, fit_gmm, gmm_log_likelihood,
 )
 
 
@@ -68,6 +70,92 @@ def fv_blocks_oracle(X, codebook: FisherCodebook) -> np.ndarray:
     return np.stack([g_mu, g_sig])
 
 
+# The kernels as they were before the codebook terms were built once per
+# codebook, verbatim: each call derived every mixture term from the arrays.
+
+def shifted_log_responsibilities_oracle(X, weights, means, variances):
+    """log γ (T, K) and each point's log-likelihood (T,) under the diagonal GMM."""
+    c = weights @ means
+    Xc = X - c
+    mc = means - c
+    prec = 1.0 / variances
+    const = np.log(weights) - 0.5 * (np.log(variances).sum(axis=1) + (mc * mc * prec).sum(axis=1)
+                                     + X.shape[1] * np.log(2.0 * np.pi))
+    log_joint = Xc @ (mc * prec).T                    # (T, K)
+    log_joint += np.square(Xc, out=Xc) @ (-0.5 * prec).T
+    log_joint += const
+    top = log_joint.max(axis=1)
+    below_top = log_joint - top[:, None]
+    norm = top + np.log(np.exp(below_top, out=below_top).sum(axis=1))
+    log_joint -= norm[:, None]
+    return log_joint, norm
+
+
+def shifted_moments_oracle(X, gamma, c):
+    """Per component Σγ (K,), γᵀ(X − c) and γᵀ(X − c)² (K, N)."""
+    Xc = X - c
+    return gamma.sum(axis=0), gamma.T @ Xc, gamma.T @ np.square(Xc, out=Xc)
+
+
+def shifted_fv_blocks_oracle(X, codebook: FisherCodebook) -> np.ndarray:
+    """Pre-normalization gradient blocks, shape (2, K, N): means then variances."""
+    T = len(X)
+    w, means, variances = codebook.weights, codebook.means, codebook.variances
+    log_gamma, _ = shifted_log_responsibilities_oracle(X, w, means, variances)
+    c = w @ means
+    nk, s1, s2 = shifted_moments_oracle(X, np.exp(log_gamma), c)
+    mc = means - c
+    nk = nk[:, None]
+    d1 = s1 - nk * mc                         # Σγ (x − μ)
+    d2 = s2 - 2.0 * mc * s1 + nk * mc * mc    # Σγ (x − μ)²
+    g_mu = d1 / np.sqrt(variances) / (T * np.sqrt(w)[:, None])
+    g_sig = (d2 / variances - nk) / (T * np.sqrt(2.0 * w)[:, None])
+    return np.stack([g_mu, g_sig])
+
+
+def fisher_vector_oracle(X, codebook: FisherCodebook) -> np.ndarray:
+    fv = shifted_fv_blocks_oracle(X, codebook).ravel()
+    fv = np.sign(fv) * np.sqrt(np.abs(fv))
+    norm = np.linalg.norm(fv)
+    return fv / norm if norm > 0 else fv
+
+
+def fit_gmm_oracle(X, k, seed, max_iters):
+    """fit_gmm's EM loop on the oracle kernels: (weights, means, variances)."""
+    rng = np.random.default_rng(seed)
+    means = _kmeanspp_centers(X, k, rng)
+    global_var = np.maximum(X.var(axis=0), VARIANCE_FLOOR)
+    variances = np.tile(global_var, (k, 1))
+    weights = np.full(k, 1.0 / k)
+    prev_ll = -np.inf
+    for it in range(max_iters):
+        log_gamma, point_ll = shifted_log_responsibilities_oracle(X, weights, means, variances)
+        ll = float(point_ll.sum())
+        if ll - prev_ll < EM_TOL * len(X):
+            break
+        prev_ll = ll
+        c = weights @ means
+        nk, s1, s2 = shifted_moments_oracle(X, np.exp(log_gamma), c)
+        nk = np.maximum(nk, 1e-12)
+        weights = nk / nk.sum()
+        d = s1 / nk[:, None]
+        means = c + d
+        variances = np.maximum(s2 / nk[:, None] - d * d, VARIANCE_FLOOR)
+    return weights, means, variances
+
+
+def log_responsibilities(X, weights, means, variances):
+    """The responsibilities kernel on raw rows, as gmm_log_likelihood runs it."""
+    terms = _codebook_terms(weights, means, variances)
+    return _log_responsibilities(X - terms.c, terms)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def make_codebook(seed=0, k=3, n=4):
     rng = np.random.default_rng(seed)
     w = rng.uniform(0.5, 1.5, k)
@@ -99,7 +187,7 @@ class TestFitGmm:
         rng = np.random.default_rng(2)
         X = rng.normal(0, 1, (50, 3))
         cb = make_codebook(n=3)
-        log_gamma, _ = _log_responsibilities(X, cb.weights, cb.means, cb.variances)
+        log_gamma, _ = log_responsibilities(X, cb.weights, cb.means, cb.variances)
         assert np.allclose(np.exp(log_gamma).sum(axis=1), 1.0, atol=1e-9)
 
     def test_loglik_monotone(self):
@@ -113,8 +201,8 @@ class TestFitGmm:
         # each call lowers every point's log-likelihood by 1000 more than the last
         calls = []
 
-        def decreasing(*args):
-            log_gamma, norm = _log_responsibilities(*args)
+        def decreasing(Xc, terms):
+            log_gamma, norm = _log_responsibilities(Xc, terms)
             calls.append(None)
             return log_gamma, norm - 1000.0 * len(calls)
 
@@ -282,7 +370,7 @@ class TestKernelOracles:
             variances=np.clip(var * rng.uniform(0.5, 2.0, (K, N)), 1e-6, 1e2))
         X = offset + np.sqrt(var) * rng.normal(0, 2, (T, N))
 
-        log_gamma, norm = _log_responsibilities(X, cb.weights, cb.means, cb.variances)
+        log_gamma, norm = log_responsibilities(X, cb.weights, cb.means, cb.variances)
         want_gamma, want_norm = log_responsibilities_oracle(X, cb.weights, cb.means,
                                                             cb.variances)
         assert np.abs(log_gamma - want_gamma).max() <= 1e-9
@@ -298,7 +386,7 @@ class TestKernelOracles:
         # log-sum-exp must shift by the row maximum
         cb = make_codebook(seed=16, k=3, n=4)
         X = cb.means[[0, 2]] + 120.0 * np.sqrt(cb.variances[[0, 2]])
-        log_gamma, norm = _log_responsibilities(X, cb.weights, cb.means, cb.variances)
+        log_gamma, norm = log_responsibilities(X, cb.weights, cb.means, cb.variances)
         want_gamma, want_norm = log_responsibilities_oracle(X, cb.weights, cb.means,
                                                             cb.variances)
         assert np.all(norm < -2e4)
@@ -313,11 +401,85 @@ class TestKernelOracles:
         cb = make_codebook(seed=15, k=K, n=N)
         tracemalloc.start()
         try:
-            _log_responsibilities(X, cb.weights, cb.means, cb.variances)
+            log_responsibilities(X, cb.weights, cb.means, cb.variances)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < T * (N + 4 * K) * 8
+
+
+def corpus_descriptors(seed):
+    """Per-video descriptor sets of the benchmark's trajectory corpus."""
+    return [np.array([shape.describe(p, 2).values for p in v.points])
+            for v in corpus.trajectory_corpus(seed)]
+
+
+class TestTermsOncePerCodebookOracles:
+    """fit_gmm, fisher_vector and gmm_log_likelihood against the kernels that
+    rebuilt the mixture terms on every call: the same bits, not just close."""
+
+    @pytest.mark.parametrize("seed", [1, 3, 23])
+    def test_trajectory_corpus_bitwise(self, seed):
+        descs = corpus_descriptors(seed)
+        pool = np.vstack(descs)
+        cb = fit_gmm(pool, k=16, seed=seed, max_iters=4)
+        for got, want in zip((cb.weights, cb.means, cb.variances),
+                             fit_gmm_oracle(pool, 16, seed, 4)):
+            assert_same_bits(got, want)
+        for X in descs:
+            assert_same_bits(fisher_vector(X, cb), fisher_vector_oracle(X, cb))
+        X = pool[:1000]
+        want = float(shifted_log_responsibilities_oracle(
+            X, cb.weights, cb.means, cb.variances)[1].sum())
+        assert_same_bits(gmm_log_likelihood(X, cb.weights, cb.means, cb.variances), want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 60), st.integers(1, 8),
+           st.integers(1, 12), st.sampled_from([0.0, 1.0, -3e2, 1e4, -1e5, 1e6]),
+           st.floats(-6.0, 2.0))
+    def test_far_offsets_and_small_variances_bitwise(self, seed, T, K, N, offset, log10_var):
+        # the parameter sets of TestKernelOracles::test_match_oracles
+        rng = np.random.default_rng(seed)
+        var = 10.0 ** log10_var
+        w = rng.uniform(0.1, 1.0, K)
+        cb = FisherCodebook(
+            weights=w / w.sum(),
+            means=offset + np.sqrt(var) * rng.normal(0, 2, (K, N)),
+            variances=np.clip(var * rng.uniform(0.5, 2.0, (K, N)), 1e-6, 1e2))
+        X = offset + np.sqrt(var) * rng.normal(0, 2, (T, N))
+        assert_same_bits(fisher_vector(X, cb), fisher_vector_oracle(X, cb))
+        assert_same_bits(_fv_blocks(X, cb), shifted_fv_blocks_oracle(X, cb))
+        want = float(shifted_log_responsibilities_oracle(
+            X, cb.weights, cb.means, cb.variances)[1].sum())
+        assert_same_bits(gmm_log_likelihood(X, cb.weights, cb.means, cb.variances), want)
+        if T >= K:
+            got = fit_gmm(X, k=K, seed=seed, max_iters=5)
+            for got_part, want_part in zip((got.weights, got.means, got.variances),
+                                           fit_gmm_oracle(X, K, seed, 5)):
+                assert_same_bits(got_part, want_part)
+
+    def test_signed_root_bitwise_at_signed_zeros(self, monkeypatch):
+        # the corpora give no block entry of -0.0; sign(-0.0)·√0 is +0.0
+        blocks = np.array([[[-0.0, 0.0, -2.0], [3.0, -5e-324, 1e-300]],
+                           [[-0.0, -0.0, 7.5], [0.0, -1e-3, 2.0]]])
+        monkeypatch.setattr(encoding, "_fv_blocks", lambda X, cb: blocks.copy())
+        fv = blocks.ravel()
+        fv = np.sign(fv) * np.sqrt(np.abs(fv))
+        want = fv / np.linalg.norm(fv)
+        assert_same_bits(fisher_vector(np.zeros((1, 3)), make_codebook(k=2, n=3)), want)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_translated_fit_bitwise(self, offset):
+        # the data of TestFitGmm::test_fit_follows_a_translation_of_the_data
+        rng = np.random.default_rng(11)
+        X = np.round(rng.normal(0, 1, (300, 3)) * 8) / 8
+        X[:150] += 4.0
+        X += offset
+        cb = fit_gmm(X, k=2, seed=5, max_iters=5)
+        for got, want in zip((cb.weights, cb.means, cb.variances),
+                             fit_gmm_oracle(X, 2, 5, 5)):
+            assert_same_bits(got, want)
+        assert_same_bits(fisher_vector(X[::7], cb), fisher_vector_oracle(X[::7], cb))
 
 
 class TestFisherVector:
@@ -470,3 +632,53 @@ class TestFisherCodebook:
         parts[field] = np.array(value)
         with pytest.raises(ValueError, match=f"codebook {message}"):
             FisherCodebook(**parts)
+
+    @pytest.mark.parametrize("name", ["weights", "means", "variances"])
+    def test_arrays_are_read_only(self, name):
+        cb = make_codebook(seed=17)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(cb, name)[0] = 1.0
+
+    def test_caller_arrays_stay_writable_and_unchanged(self):
+        rng = np.random.default_rng(18)
+        w = rng.uniform(0.5, 1.5, 3)
+        parts = dict(weights=w / w.sum(), means=rng.normal(0, 2, (3, 4)),
+                     variances=rng.uniform(0.2, 2.0, (3, 4)))
+        before = {name: arr.copy() for name, arr in parts.items()}
+        cb = FisherCodebook(**parts)
+        X = rng.normal(0, 1, (30, 4))
+        fv = fisher_vector(X, cb)
+        for name, arr in parts.items():
+            assert arr.flags.writeable
+            assert_same_bits(arr, before[name])
+            assert getattr(cb, name) is not arr
+            arr += 1.0  # the codebook keeps its own copy, so its terms cannot go stale
+            assert_same_bits(getattr(cb, name), before[name])
+        assert_same_bits(fisher_vector(X, cb), fv)
+
+    def test_repr_and_eq_ignore_terms(self):
+        def one():
+            return FisherCodebook(weights=np.array([1.0]), means=np.array([[2.0]]),
+                                  variances=np.array([[0.5]]))
+
+        a, b = one(), one()
+        assert "_terms" not in repr(a) and repr(a) == repr(b)
+        assert [f.name for f in dataclasses.fields(a) if f.compare] == [
+            "weights", "means", "variances"]
+        object.__setattr__(b, "_terms", None)
+        assert a == b
+
+    def test_fisher_vectors_build_no_terms(self, monkeypatch):
+        built = []
+
+        def counting(*args):
+            built.append(None)
+            return _codebook_terms(*args)
+
+        monkeypatch.setattr(encoding, "_codebook_terms", counting)
+        cb = make_codebook(seed=19)
+        assert len(built) == 1
+        rng = np.random.default_rng(19)
+        for _ in range(10):
+            fisher_vector(rng.normal(0, 1, (int(rng.integers(1, 50)), 4)), cb)
+        assert len(built) == 1

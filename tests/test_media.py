@@ -433,6 +433,16 @@ class TestSceneSpec:
         with pytest.raises(ValueError, match="baseline and focal"):
             simple_spec(**kw)
 
+    @pytest.mark.parametrize("kind", ["vosc", "circle"])
+    def test_period_too_short_for_the_frames_named(self, kind):
+        # 2*pi/period is finite, but 2*pi*t/period overflows from frame 3 on;
+        # it used to be a bare "math domain error" from math.sin
+        path = ObjectPath(kind, {"u0": 20.0, "v0": 20.0, "period": 1e-307})
+        with pytest.raises(ValueError, match=r"^object path period 1e-307 leaves the phase at "
+                                             r"frame 3 infinite$"):
+            SceneSpec(objects=(path,), frames=40)
+        assert SceneSpec(objects=(path,), frames=3).frames == 3
+
     def test_nan_depth_rejected(self):
         with pytest.raises(ValueError, match="^object path z0 must be a finite number, got nan$"):
             simple_spec(objects=(ObjectPath("line", {"u0": 20.0, "v0": 20.0,
