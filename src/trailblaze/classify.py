@@ -96,6 +96,7 @@ def train(examples, C: float = 1.0, epochs: int = 50, seed: int = 0) -> SvmModel
     if not (_real(C) and C > 0):
         raise ValueError(f"C must be > 0, got {C!r}")
     _count("epochs", epochs)
+    _count("seed", seed, 0)
     examples = list(examples)
     labels = tuple(sorted({e.label for e in examples}))
     if len(labels) < 2:
@@ -166,6 +167,7 @@ def leave_one_actor_out(videos, k: int = 64, C: float = 1.0, epochs: int = 50,
     """One fold per actor: the fold's videos are tested against a codebook
     and SVM fit on the remaining actors only; fold confusion matrices are
     summed into the blended matrix."""
+    _count("seed", seed, 0)
     videos = list(videos)
     owner = {}
     for v in videos:

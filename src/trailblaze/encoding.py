@@ -163,6 +163,7 @@ def fit_gmm(descriptors, k: int, seed: int = 0, max_iters: int = 100) -> FisherC
     The log-likelihood is checked to be non-decreasing at every iteration;
     a drop raises a `RuntimeError` naming the iteration and both values.
     """
+    _count("seed", seed, 0)
     _count("k", k)
     _count("max_iters", max_iters)
     X = _rows("descriptors", descriptors, "descriptor {0} entry {1}")

@@ -41,8 +41,11 @@ FB_POLY_SIGMA = 1.5       # its Gaussian applicability
 @dataclass(frozen=True)
 class TrackResult:
     point: tuple
-    status: str                # "tracked" | "lost"
-    reason: str | None = None  # None when tracked, else "outside" | "weak_gradient"
+    reason: str | None  # None when tracked, else "outside" | "weak_gradient"
+
+    @property
+    def status(self) -> str:
+        return "tracked" if self.reason is None else "lost"
 
 
 @dataclass(frozen=True)
@@ -100,9 +103,7 @@ def lk_track(prev, next, points, levels: int = 3, window: int = 15) -> list:
     """
     img0, img1 = _unit_pair(prev, next)
     _count("levels", levels)
-    _count("window", window, 5, "an odd integer")
-    if window % 2 == 0:
-        raise ValueError(f"window must be an odd integer >= 5, got {window!r}")
+    _count("window", window, 5, "an odd integer", step=2)
     if _no_rows(points) and np.ndim(points) == 1:  # [], while (0, 2) yields [] below
         return []
     pts = _rows("points", points, "point {0}", 2)
@@ -115,7 +116,7 @@ def lk_track(prev, next, points, levels: int = 3, window: int = 15) -> list:
 
     started = inside(pts)
     if not started.any():
-        return [TrackResult((x, y), "lost", "outside") for x, y in pts.tolist()]
+        return [TrackResult((x, y), "outside") for x, y in pts.tolist()]
 
     pyr0 = _pyramid(img0, levels, window + 2)
     pyr1 = _pyramid(img1, levels, window + 2)
@@ -169,8 +170,7 @@ def lk_track(prev, next, points, levels: int = 3, window: int = 15) -> list:
     tracked = started & ~weak & inside(moved)
     reasons = [None if t else ("weak_gradient" if k else "outside")
                for t, k in zip(tracked.tolist(), weak.tolist())]
-    return [TrackResult((x, y), "lost" if r else "tracked", r)
-            for (x, y), r in zip(moved.tolist(), reasons)]
+    return [TrackResult((x, y), r) for (x, y), r in zip(moved.tolist(), reasons)]
 
 
 # ---------------------------------------------------------------------------

@@ -86,9 +86,7 @@ def describe_patch(gray, p, patch: int = 16) -> np.ndarray:
     and renormalized.  A gradient-free patch yields the zero vector.  A point
     that is not two finite real numbers (x, y) is a ValueError naming it.
     """
-    _count("patch", patch, 4, "a multiple of 4")
-    if patch % 4:
-        raise ValueError(f"patch must be a multiple of 4 >= 4, got {patch!r}")
+    _count("patch", patch, 4, "a multiple of 4", step=4)
     x, y = _point(p)
     img = _gray(gray)
     h, w = img.shape

@@ -36,11 +36,12 @@ def _finite_real(value) -> bool:
     return (isinstance(value, float) or _real(value)) and abs(value) < math.inf
 
 
-def _count(name: str, value, least: int = 1, what: str = "an integer") -> None:
-    """A ValueError naming `name` unless `value` is an integer >= `least`, worded
-    as `what`, e.g. "an odd integer"; numpy integers pass, bools and floats do not."""
+def _count(name: str, value, least: int = 1, what: str = "an integer", step: int = 1) -> None:
+    """A ValueError naming `name` unless `value` is one of least, least + step, ...,
+    worded as `what`, e.g. "an odd integer"; numpy integers pass, bools and floats do not."""
     # int first: a plain int skips the slower ABC check
-    if isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)) or value < least:
+    if (isinstance(value, bool) or not isinstance(value, (int, numbers.Integral)) or value < least
+            or (value - least) % step):
         raise ValueError(f"{name} must be {what} >= {least}, got {value!r}")
 
 
@@ -134,10 +135,14 @@ def _gray(image) -> np.ndarray:
     A colour Frame is weighted with BT.601 and rounded half-up to whole
     levels; a grey Frame or a 2-D array is cast to float64.  This is the
     pixel gate of every layer: an array goes through `_rows`, which names
-    its first NaN or infinite pixel (a Frame is uint8, so always finite).
+    its first NaN or infinite pixel, and must have a row (a Frame is uint8
+    with sides >= 1, so always finite and non-empty).
     """
     if not isinstance(image, Frame):
-        return _rows("image", image, "pixel (x={1}, y={0})")
+        img = _rows("image", image, "pixel (x={1}, y={0})")
+        if not len(img):
+            raise ValueError(f"image sides must be >= 1, got shape {img.shape}")
+        return img
     rgb = image.data.astype(np.float64)
     if image.channels == 1:
         return rgb

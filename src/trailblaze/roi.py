@@ -1,6 +1,6 @@
 """Moving-region detection: a per-pixel Gaussian mixture background model,
 updated with array picks over its (K, h, w) stacks, and bounding boxes merged
-through a pairwise gap matrix whose closure is taken by boolean squaring."""
+through a pairwise gap matrix whose groups are found by min-label propagation."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .media import _gray
+from .media import _gray, _rows
 
 COMPONENTS = 3
 ALPHA = 0.02            # learning rate of matched components
@@ -110,27 +110,29 @@ def _merge(boxes: np.ndarray, reach) -> np.ndarray:
 
     Two boxes link when their signed gap, the larger over both axes of
     max(lo) - min(hi), is <= reach: reach -1 links only overlapping boxes.
-    Groups are the transitive closure of the link matrix, taken by repeated
-    boolean squaring; each is listed once, at its first member.
+    Groups are the connected components of the link matrix, found by min-label
+    propagation; each is listed once, at its first member, which labels it.
     """
     lo = boxes[:, :2]
     hi = lo + boxes[:, 2:]
     gap = (np.maximum(lo[:, None], lo) - np.minimum(hi[:, None], hi)).max(axis=2)
     linked = gap <= reach  # reflexive: a box's gap to itself is -min(w, h)
-    while not np.array_equal(wider := linked @ linked, linked):
-        linked = wider
-    first = linked.argmax(axis=1) == np.arange(len(boxes))
-    group = linked[first, :, None]
-    x0y0 = np.where(group, lo, lo.max()).min(axis=1)
-    x1y1 = np.where(group, hi, hi.min()).max(axis=1)
+    group = np.arange(len(boxes))
+    while not np.array_equal(group, low := np.where(linked, group, len(boxes)).min(axis=1)):
+        group = low[low]  # every box takes its links' least label, then that label's label
+    order = np.argsort(group, kind="stable")
+    starts = np.flatnonzero(np.diff(group[order], prepend=-1))
+    x0y0 = np.minimum.reduceat(lo[order], starts)
+    x1y1 = np.maximum.reduceat(hi[order], starts)
     return np.hstack([x0y0, x1y1 - x0y0])
 
 
 def extract_regions(mask: np.ndarray) -> list:
     """Bounding boxes of 8-connected foreground blobs, merged when boxes
     overlap or their gap is within PROXIMITY, then merged again until the
-    result is pairwise disjoint.  Sorted by (x, y)."""
-    mask = np.asarray(mask, dtype=bool)
+    result is pairwise disjoint.  Sorted by (x, y).  Any non-zero pixel is
+    foreground; a NaN or infinite pixel is a ValueError naming it."""
+    mask = _rows("mask", mask, "mask pixel (x={1}, y={0})") != 0
     labels, n = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
     if n == 0:
         return []

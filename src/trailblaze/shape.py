@@ -13,19 +13,10 @@ import numpy as np
 
 from .media import _count, _rows
 
-MAX_ORDER = 7
-
 
 @dataclass(frozen=True)
 class ShapeDescriptor:
     values: np.ndarray
-    r: int
-    n: int
-    l: int
-
-    def __post_init__(self):
-        if self.values.size != descriptor_dim(self.n, self.l, self.r):
-            raise ValueError("descriptor size does not match (n, l, r)")
 
 
 def descriptor_dim(n: int, l: int, r: int) -> int:
@@ -36,15 +27,12 @@ def describe(traj, r: int) -> ShapeDescriptor:
     """Concatenation of derivatives of orders 1..r of an (l+1, n) point array."""
     pts = _rows("trajectory", traj, "trajectory point {0}")
     l = len(pts) - 1
-    n = pts.shape[1]
     _count("order", r)
     if r > l:
         raise ValueError(f"order {r} exceeds trajectory length {l}")
-    if r > MAX_ORDER:
-        raise ValueError(f"order {r} exceeds the supported maximum {MAX_ORDER}")
     blocks = []
     cur = pts
     for _ in range(r):
         cur = cur[1:] - cur[:-1]
         blocks.append(cur.ravel())
-    return ShapeDescriptor(values=np.concatenate(blocks), r=r, n=n, l=l)
+    return ShapeDescriptor(values=np.concatenate(blocks))

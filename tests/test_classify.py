@@ -125,6 +125,16 @@ class TestTrain:
         with pytest.raises(ValueError, match=named):
             train(examples)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "a", True])
+    def test_bad_seed_named(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {seed!r}$"):
+            train(separable_blobs(), epochs=2, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        want = train(separable_blobs(), epochs=2, seed=3)
+        got = train(separable_blobs(), epochs=2, seed=np.int64(3))
+        assert np.array_equal(got.weights, want.weights) and np.array_equal(got.biases, want.biases)
+
     def test_numpy_integer_epochs_accepted(self):
         model = train(separable_blobs(), epochs=np.int64(3))
         oracle = train_oracle(separable_blobs(), epochs=3)
@@ -338,6 +348,18 @@ class TestLeaveOneActorOut:
         b = leave_one_actor_out(videos, k=2, epochs=10, seed=5)
         assert np.array_equal(a.counts, b.counts)
 
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "a", True])
+    def test_bad_seed_named(self, seed):
+        with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {seed!r}$"):
+            leave_one_actor_out(one_hot_videos(classes=2, actors=2, reps=2), k=2, epochs=2,
+                                seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        videos = one_hot_videos(classes=2, actors=3, reps=2)
+        want = leave_one_actor_out(videos, k=2, epochs=5, seed=3)
+        got = leave_one_actor_out(videos, k=2, epochs=5, seed=np.int64(3))
+        assert np.array_equal(got.counts, want.counts)
 
     def test_gmm_pool_subsampled_to_cap(self, monkeypatch):
         rng = np.random.default_rng(4)

@@ -269,6 +269,18 @@ class TestFitGmm:
         with pytest.raises(ValueError, match=message):
             fit_gmm(X, **kwargs)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "a", True])
+    def test_bad_seed_named(self, seed):
+        X = np.random.default_rng(12).normal(0, 1, (20, 2))
+        with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, got {seed!r}$"):
+            fit_gmm(X, k=2, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        X = np.random.default_rng(13).normal(0, 1, (20, 2))
+        want = fit_gmm(X, k=2, seed=3, max_iters=3)
+        got = fit_gmm(X, k=2, seed=np.int64(3), max_iters=3)
+        assert np.array_equal(got.means, want.means) and np.array_equal(got.weights, want.weights)
+
     def test_numpy_integer_counts_accepted(self):
         X = np.random.default_rng(13).normal(0, 1, (20, 2))
         assert fit_gmm(X, k=np.int64(2), max_iters=np.int32(3)).k == 2

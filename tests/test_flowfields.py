@@ -73,7 +73,7 @@ def lk_track_oracle(prev, next, points, levels: int = 3, window: int = 15) -> li
     for p in points:
         px, py = float(p[0]), float(p[1])
         if not (half + 1 <= px <= w - 2 - half and half + 1 <= py <= h - 2 - half):
-            results.append(TrackResult((px, py), "lost"))
+            results.append(TrackResult((px, py), "outside"))
             continue
         g = np.zeros(2)
         lost = False
@@ -112,13 +112,13 @@ def lk_track_oracle(prev, next, points, levels: int = 3, window: int = 15) -> li
                     break
             g = (g + nu) if lvl == 0 else 2.0 * (g + nu)
         if lost:
-            results.append(TrackResult((px, py), "lost"))
+            results.append(TrackResult((px, py), "weak_gradient"))
             continue
         qx, qy = px + g[0], py + g[1]
         if not (half + 1 <= qx <= w - 2 - half and half + 1 <= qy <= h - 2 - half):
-            results.append(TrackResult((qx, qy), "lost"))
+            results.append(TrackResult((qx, qy), "outside"))
         else:
-            results.append(TrackResult((qx, qy), "tracked"))
+            results.append(TrackResult((qx, qy), None))
     return results
 
 
@@ -299,7 +299,7 @@ class TestLkTrackOracle:
         ])
         got = lk_track(img, moved, pts, levels=levels, window=window)
         want = lk_track_oracle(img, moved, pts, levels=levels, window=window)
-        assert [r.status for r in got] == [r.status for r in want]
+        assert [r.reason for r in got] == [r.reason for r in want]
         assert np.abs(np.array([r.point for r in got])
                       - np.array([r.point for r in want])).max() <= 1e-9
         assert all((r.reason is None) == (r.status == "tracked") for r in got)
@@ -424,6 +424,7 @@ class TestLkTrack:
         (dict(window=True), "window must be an odd integer >= 5, got True"),
         (dict(window=8), "window must be an odd integer >= 5, got 8"),
         (dict(window=3), "window must be an odd integer >= 5, got 3"),
+        (dict(window=6), "window must be an odd integer >= 5, got 6"),
     ])
     def test_bad_parameter_named(self, kw, message):
         img = smooth_texture(2)
@@ -436,6 +437,13 @@ class TestLkTrack:
         pts = interior_corners(img, 20)[:6]
         want = lk_track(img, moved, pts, levels=2, window=9)
         assert lk_track(img, moved, pts, levels=np.int64(2), window=np.int32(9)) == want
+
+    def test_frames_without_rows_named(self):
+        empty = np.zeros((0, 5))
+        with pytest.raises(ValueError, match=r"^image sides must be >= 1, got shape \(0, 5\)$"):
+            lk_track(empty, empty, [(2.0, 0.0)])
+        with pytest.raises(ValueError, match=r"^image sides must be >= 1, got shape \(0, 5\)$"):
+            farneback_flow(empty, empty)
 
     @pytest.mark.parametrize("which", [0, 1])
     def test_non_finite_pixel_named(self, which):

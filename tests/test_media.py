@@ -125,6 +125,12 @@ class TestGray:
         with pytest.raises(ValueError, match=r"\(4, 5, 3\)"):
             media._gray(np.zeros((4, 5, 3)))
 
+    @pytest.mark.parametrize("shape", [(0, 5), (0, 1)])
+    def test_array_without_rows_rejected_with_shape(self, shape):
+        message = f"image sides must be >= 1, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            media._gray(np.zeros(shape))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_array_names_first_pixel(self, bad):
         arr = np.full((6, 8), 50.0)
@@ -146,6 +152,22 @@ class TestInputRules:
         message = f"n must be an integer >= {least}, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             media._count("n", value, least)
+
+    @pytest.mark.parametrize("value, least, step", [
+        (5, 5, 2), (9, 5, 2), (np.int64(9), 5, 2), (4, 4, 4), (8, 4, 4), (np.int64(8), 4, 4),
+    ])
+    def test_count_accepts_each_step(self, value, least, step):
+        media._count("n", value, least, "a counted integer", step)
+
+    @pytest.mark.parametrize("name, value, least, what, step", [
+        ("window", 6, 5, "an odd integer", 2), ("window", 8, 5, "an odd integer", 2),
+        ("window", np.int64(8), 5, "an odd integer", 2), ("patch", 6, 4, "a multiple of 4", 4),
+        ("patch", np.int64(6), 4, "a multiple of 4", 4),
+    ])
+    def test_count_rejects_off_step(self, name, value, least, what, step):
+        message = f"{name} must be {what} >= {least}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            media._count(name, value, least, what, step)
 
     def test_finite_names_first_entry_in_c_order(self):
         arr = np.zeros((3, 4))

@@ -54,6 +54,13 @@ class TestBackgroundModel:
         with pytest.raises(ValueError, match="match"):
             update_and_subtract(model, np.zeros((5, 5)))
 
+    def test_frame_without_rows_named(self):
+        with pytest.raises(ValueError, match=r"^image sides must be >= 1, got shape \(0, 5\)$"):
+            BackgroundModel.initialize(np.zeros((0, 5)))
+        model = BackgroundModel.initialize(np.zeros((10, 10)))
+        with pytest.raises(ValueError, match=r"^image sides must be >= 1, got shape \(0, 10\)$"):
+            update_and_subtract(model, np.zeros((0, 10)))
+
     def test_non_finite_pixel_named(self):
         model = BackgroundModel.initialize(np.zeros((10, 10)))
         frame = np.zeros((10, 10))
@@ -193,6 +200,21 @@ def union_find_oracle(boxes, proximity):
     return sorted(groups)
 
 
+def merge_by_squaring_oracle(boxes, reach):
+    """The closure by repeated boolean squaring that `roi._merge` replaced."""
+    lo = boxes[:, :2]
+    hi = lo + boxes[:, 2:]
+    gap = (np.maximum(lo[:, None], lo) - np.minimum(hi[:, None], hi)).max(axis=2)
+    linked = gap <= reach  # reflexive: a box's gap to itself is -min(w, h)
+    while not np.array_equal(wider := linked @ linked, linked):
+        linked = wider
+    first = linked.argmax(axis=1) == np.arange(len(boxes))
+    group = linked[first, :, None]
+    x0y0 = np.where(group, lo, lo.max()).min(axis=1)
+    x1y1 = np.where(group, hi, hi.min()).max(axis=1)
+    return np.hstack([x0y0, x1y1 - x0y0])
+
+
 def put_blob(mask, x, y, w, h):
     mask[y:y + h, x:x + w] = True
 
@@ -236,7 +258,7 @@ class TestExtractRegions:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 6))
     def test_matches_union_find_oracle(self, seed, proximity):
-        # up to 40 blobs: long chains need several squarings of the link matrix
+        # up to 40 blobs: long chains need several rounds of label propagation
         rng = np.random.default_rng(seed)
         mask = np.zeros((40, 50), dtype=bool)
         boxes = []
@@ -272,3 +294,41 @@ class TestExtractRegions:
             assert len(containing) == 1
         for r in rois:
             assert mask[r.y:r.y + r.h, r.x:r.x + r.w].any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300), st.integers(-1, 12))
+    def test_merge_matches_squaring_oracle(self, seed, n, reach):
+        rng = np.random.default_rng(seed)
+        side = int(rng.integers(20, 400))
+        sizes = rng.integers(1, 16, (n, 2))
+        boxes = np.hstack([rng.integers(0, side, (n, 2)), sizes])
+        got = roi._merge(boxes, reach)
+        want = merge_by_squaring_oracle(boxes, reach)
+        assert got.tolist() == want.tolist()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.01, 0.05, 0.2, 0.5]))
+    def test_regions_match_squaring_oracle(self, seed, density):
+        mask = np.random.default_rng(seed).uniform(0, 1, (72, 96)) < density
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(roi, "_merge", merge_by_squaring_oracle)
+            want = extract_regions(mask)
+        assert extract_regions(mask) == want
+
+    @pytest.mark.parametrize("mask, shape", [
+        (np.zeros(5, dtype=bool), r"\(5,\)"), (np.zeros((4, 5, 2)), r"\(4, 5, 2\)"),
+        (np.float64(1.0), r"\(\)"),
+    ], ids=["one_d", "three_d", "scalar"])
+    def test_mask_not_2d_named(self, mask, shape):
+        with pytest.raises(ValueError, match=f"^mask must be a 2-D array of width >= 1, got {shape}$"):
+            extract_regions(mask)
+
+    def test_non_finite_mask_pixel_named(self):
+        mask = np.zeros((2, 3))
+        mask[1, 2] = np.nan
+        with pytest.raises(ValueError, match=r"^mask pixel \(x=2, y=1\) is not finite: nan$"):
+            extract_regions(mask)
+
+    def test_any_nonzero_pixel_is_foreground(self):
+        mask = np.array([[0.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.5]])
+        assert regions_within(mask, 0) == [Roi(1, 0, 1, 1), Roi(3, 1, 1, 1)]

@@ -53,7 +53,7 @@ class TestDescribe:
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [3.0, 1.0]])
         d = describe(pts, r=2)
         assert np.array_equal(d.values, [1, 0, 2, 1, 1, 1])
-        assert (d.n, d.l, d.r) == (2, 2, 2)
+        assert d.values.size == descriptor_dim(2, 2, 2)
 
     def test_uniform_motion_second_block_zero(self):
         # dyadic step sizes keep the forward differences exact
@@ -95,14 +95,17 @@ class TestDescribe:
         pts = np.arange(12.0).reshape(6, 2) ** 2
         assert np.array_equal(describe(pts, r=np.int64(2)).values, describe(pts, r=2).values)
 
-    def test_order_cap(self):
-        with pytest.raises(ValueError, match="maximum"):
-            describe(np.zeros((20, 2)), r=8)
+    @pytest.mark.parametrize("r", [8, 15, 20])
+    def test_high_orders_up_to_length(self, r):
+        pts = np.random.default_rng(r).normal(0, 5, (21, 2))
+        d = describe(pts, r=r)
+        assert np.array_equal(d.values, iterated_oracle(pts, r))
+        assert d.values.size == descriptor_dim(2, 20, r)
 
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 3), st.integers(9, 27),
-           st.integers(1, 7))
-    def test_oracle_equivalence_and_dimension(self, seed, n, l, r):
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 3), st.integers(9, 27), st.data())
+    def test_oracle_equivalence_and_dimension(self, seed, n, l, data):
+        r = data.draw(st.integers(1, l), label="r")
         rng = np.random.default_rng(seed)
         pts = rng.normal(0, 5, (l + 1, n))
         d = describe(pts, r=r)
