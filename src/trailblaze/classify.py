@@ -170,10 +170,17 @@ def leave_one_actor_out(videos, k: int = 64, C: float = 1.0, epochs: int = 50,
     _count("seed", seed, 0)
     videos = list(videos)
     owner = {}
+    width = None  # (clip_id, N) of the first video with a 2-D descriptor set
     for v in videos:
         first = owner.setdefault(v.clip_id, v.actor)
         if first != v.actor:
             raise ValueError(f"clip_id {v.clip_id!r} appears under actors {first!r} and {v.actor!r}")
+        shape = np.shape(v.descriptors)
+        if len(shape) == 2:
+            width = width or (v.clip_id, shape[1])
+            if shape[1] != width[1]:
+                raise ValueError(f"clip_id {v.clip_id!r} has descriptors {shape[1]} wide, but "
+                                 f"clip_id {width[0]!r} has them {width[1]} wide")
     actors = sorted({v.actor for v in videos})
     if len(actors) < 2:
         raise ValueError("need at least 2 actors")

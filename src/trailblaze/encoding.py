@@ -74,23 +74,28 @@ class FisherCodebook:
 
     def __post_init__(self):
         for name in ("weights", "means", "variances"):
-            arr = np.array(getattr(self, name), dtype=np.float64)
+            try:
+                arr = np.array(getattr(self, name), dtype=np.float64)
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"codebook {name} must be an array of real numbers: {e}") from None
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         k = len(self.weights)
         if (self.weights.ndim != 1 or self.means.ndim != 2 or len(self.means) != k
                 or self.variances.shape != self.means.shape):
             raise ValueError(f"codebook needs weights (K,), means and variances (K, N); got "
-                             f"{self.weights.shape}, {self.means.shape}, {self.variances.shape}")
+                             f"weights {self.weights.shape}, means {self.means.shape}, "
+                             f"variances {self.variances.shape}")
         for name in ("weights", "means", "variances"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ValueError(f"codebook {name} must be finite, got {getattr(self, name)}")
         if not (self.weights > 0).all():
             raise ValueError(f"codebook weights must be > 0, got {self.weights}")
         if abs(self.weights.sum() - 1.0) > 1e-9:
-            raise ValueError("mixture weights must sum to 1")
+            raise ValueError(f"codebook weights must sum to 1, got {self.weights.sum()}")
         if np.any(self.variances < VARIANCE_FLOOR - 1e-12):
-            raise ValueError("variances fell below the floor")
+            raise ValueError(f"codebook variances must be >= {VARIANCE_FLOOR}, "
+                             f"got {self.variances.min()}")
         object.__setattr__(self, "_terms",
                            _codebook_terms(self.weights, self.means, self.variances))
 
@@ -235,8 +240,10 @@ def _fv_blocks(X, codebook: FisherCodebook) -> np.ndarray:
 
 
 def gmm_log_likelihood(X, weights, means, variances) -> float:
-    """Total log-likelihood of X under the diagonal GMM (oracle hook)."""
-    X = _rows("X", X, "X row {0} entry {1}", means.shape[1], ndmin=2)
-    terms = _codebook_terms(weights, means, variances)
+    """Total log-likelihood of X under the diagonal GMM (oracle hook); the
+    mixture is checked as a `FisherCodebook` is."""
+    codebook = FisherCodebook(weights, means, variances)
+    X = _rows("X", X, "X row {0} entry {1}", codebook.dim, ndmin=2)
+    terms = codebook._terms
     _, point_ll = _log_responsibilities(X - terms.c, terms)
     return float(point_ll.sum())

@@ -56,8 +56,12 @@ class FlowField:
     v: np.ndarray
 
     def __post_init__(self):
-        if self.u.shape != self.v.shape:
-            raise ValueError("u and v must share shape")
+        u, v = self.u, self.v
+        if not (isinstance(u, np.ndarray) and isinstance(v, np.ndarray) and u.ndim == 2
+                and u.shape == v.shape):
+            raise ValueError(f"u and v must be two 2-D arrays of one shape, got "
+                             f"{getattr(u, 'shape', type(u).__name__)} and "
+                             f"{getattr(v, 'shape', type(v).__name__)}")
 
 
 def _downsample(img: np.ndarray) -> np.ndarray:

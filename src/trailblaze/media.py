@@ -75,7 +75,10 @@ def _no_rows(values) -> bool:
 def _rows(name: str, values, entry: str, width: int | None = None, ndmin: int = 0) -> np.ndarray:
     """`values` as a float64 2-D array `width` wide (>= 1 when None); ndmin=2 takes
     one row (N,) as (1, N).  Other input, ragged or not numbers, is a ValueError
-    naming `name`; a NaN or infinite entry is `_finite`'s error with `entry`."""
+    naming `name`, as is a complex array, whose conversion would drop the
+    imaginary part; a NaN or infinite entry is `_finite`'s error with `entry`."""
+    if getattr(getattr(values, "dtype", None), "kind", None) == "c":
+        raise ValueError(f"{name} must be a 2-D array of real numbers, got dtype {values.dtype}")
     try:
         arr = np.asarray(np.atleast_2d(values) if ndmin == 2 else values, dtype=np.float64)
     except (TypeError, ValueError) as e:

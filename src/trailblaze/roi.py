@@ -1,6 +1,7 @@
-"""Moving-region detection: a per-pixel Gaussian mixture background model,
-updated with array picks over its (K, h, w) stacks, and bounding boxes merged
-through a pairwise gap matrix whose groups are found by min-label propagation."""
+"""Moving-region detection: a per-pixel Gaussian mixture background model
+(Stauffer & Grimson, CVPR 1999) updated with elementwise passes over its
+(K, h, w) stacks, and bounding boxes merged through a pairwise gap matrix
+whose groups are found by min-label propagation."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ MATCH_K = 2.5           # a pixel matches a component within MATCH_K sigma
 INIT_VARIANCE = 225.0   # sigma 15 for fresh components
 MIN_VARIANCE = 4.0
 NEW_WEIGHT = 0.05
-BG_RATIO = 0.7          # cumulative weight that counts as background
+BG_RATIO = 0.7          # a match is background with less weight than this ranked ahead
 PROXIMITY = 10          # blobs whose boxes are this close (px) share a region
 
 
@@ -48,8 +49,8 @@ class BackgroundModel:
 def update_and_subtract(model: BackgroundModel, frame) -> tuple:
     """One background-model step; returns (updated model, foreground mask).
 
-    A pixel is background iff it matches (within MATCH_K sigma) one of the
-    highest-weight components whose cumulative weight reaches BG_RATIO.
+    A pixel is background iff its highest-weight matching component (within
+    MATCH_K sigma) has less than BG_RATIO of weight ranked ahead of it.
     Matched components adapt with rate ALPHA; a pixel matching nothing
     replaces its lowest-weight component and is foreground.
     """
@@ -65,17 +66,15 @@ def update_and_subtract(model: BackgroundModel, frame) -> tuple:
     best = np.argmax(np.where(matches, w, -1.0), axis=0)
     any_match = matches.any(axis=0)
 
-    # background set: weight-sorted prefix reaching BG_RATIO; `ahead` holds,
-    # in component order, the weight of the components sorted before each one
-    order = np.argsort(-w, axis=0, kind="stable")
-    sorted_w = np.take_along_axis(w, order, axis=0)
-    ahead = np.empty_like(w)
-    np.put_along_axis(ahead, order, np.cumsum(sorted_w, axis=0) - sorted_w, axis=0)
-    best_in_bg = np.take_along_axis(ahead, best[None], axis=0)[0] < BG_RATIO
-    foreground = ~(any_match & best_in_bg)
+    # background iff the weight ranked ahead of `best` is below BG_RATIO; a
+    # stable descending order ranks a heavier component, or an equally heavy
+    # earlier one, first
+    component = np.arange(len(w))[:, None, None]
+    w_best = np.take_along_axis(w, best[None], axis=0)
+    ahead = np.where((w > w_best) | ((w == w_best) & (component < best)), w, 0.0).sum(axis=0)
+    foreground = ~(any_match & (ahead < BG_RATIO))
 
     # adapt matched component: w_k <- (1-a)w_k + a*m_k, only where a match exists
-    component = np.arange(len(w))[:, None, None]
     hit = (component == best) & any_match
     updated = np.where(hit, w + ALPHA * (1.0 - w), w * (1.0 - ALPHA))
     w = np.where(any_match[None], updated, w)
@@ -120,11 +119,11 @@ def _merge(boxes: np.ndarray, reach) -> np.ndarray:
     group = np.arange(len(boxes))
     while not np.array_equal(group, low := np.where(linked, group, len(boxes)).min(axis=1)):
         group = low[low]  # every box takes its links' least label, then that label's label
-    order = np.argsort(group, kind="stable")
-    starts = np.flatnonzero(np.diff(group[order], prepend=-1))
-    x0y0 = np.minimum.reduceat(lo[order], starts)
-    x1y1 = np.maximum.reduceat(hi[order], starts)
-    return np.hstack([x0y0, x1y1 - x0y0])
+    x0y0, x1y1 = lo.copy(), hi.copy()
+    np.minimum.at(x0y0, group, lo)  # each group's union lands on its first member's row
+    np.maximum.at(x1y1, group, hi)
+    first = group == np.arange(len(boxes))
+    return np.hstack([x0y0[first], x1y1[first] - x0y0[first]])
 
 
 def extract_regions(mask: np.ndarray) -> list:

@@ -20,6 +20,14 @@ class ShapeDescriptor:
 
 
 def descriptor_dim(n: int, l: int, r: int) -> int:
+    """Length of `describe`'s output for order r of an (l+1, n) point array;
+    a ValueError unless n >= 1, l >= 0 and 1 <= r <= l are integers, as
+    `describe` requires (it checks r itself, to keep its per-call cost)."""
+    _count("n", n)
+    _count("order", r)
+    _count("trajectory length l", l, 0)
+    if r > l:
+        raise ValueError(f"order {r} exceeds trajectory length {l}")
     return n * (r * (l + 1) - r * (r + 1) // 2)
 
 

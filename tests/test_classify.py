@@ -328,6 +328,17 @@ class TestLeaveOneActorOut:
         with pytest.raises(ValueError, match="actors"):
             leave_one_actor_out(videos, k=2)
 
+    def test_descriptor_widths_differ_names_videos(self):
+        # a (0, N) set counts as N wide; the error used to come from np.vstack
+        videos = one_hot_videos(classes=2, actors=2, reps=2)
+        videos[0] = VideoSample(videos[0].clip_id, videos[0].label, videos[0].actor,
+                                np.zeros((0, 2)))
+        videos[5] = VideoSample(videos[5].clip_id, videos[5].label, videos[5].actor,
+                                np.ones((12, 3)))
+        with pytest.raises(ValueError, match=r"^clip_id 'c1a0r1' has descriptors 3 wide, "
+                                             r"but clip_id 'c0a0r0' has them 2 wide$"):
+            leave_one_actor_out(videos, k=2, epochs=5, seed=0)
+
     def test_fold_without_training_descriptors_names_actor(self):
         videos = [VideoSample(v.clip_id, v.label, v.actor,
                               v.descriptors[:0] if v.actor == "actor0" else v.descriptors)

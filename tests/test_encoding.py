@@ -575,6 +575,31 @@ class TestFisherVector:
         with pytest.raises(ValueError, match=f"^{named}"):
             gmm_log_likelihood(X, cb.weights, cb.means, cb.variances)
 
+    @pytest.mark.parametrize("damage, named", [
+        (lambda p: p.update(means=p["means"][:, 0]),
+         r"codebook needs weights .*; got weights \(2,\), means \(2,\), variances \(2, 3\)$"),
+        (lambda p: p.update(means=[[0.0, 1.0, 2.0], [3.0, 4.0]]),
+         r"codebook means must be an array of real numbers: .*inhomogeneous"),
+        (lambda p: p.update(weights=np.array([0.5, 0.25, 0.25])),
+         r"codebook needs weights .*; got weights \(3,\), means \(2, 3\), variances \(2, 3\)$"),
+        (lambda p: p.update(variances=-p["variances"]), r"codebook variances must be >= 1e-06"),
+    ], ids=["one_d_means", "ragged_list_means", "weights_wrong_length", "negative_variances"])
+    def test_log_likelihood_bad_mixture_named(self, damage, named):
+        # these gave an IndexError, an AttributeError, a matmul error and a NaN
+        cb = make_codebook(k=2, n=3)
+        parts = dict(weights=cb.weights, means=cb.means, variances=cb.variances)
+        damage(parts)
+        with pytest.raises(ValueError, match=f"^{named}"):
+            gmm_log_likelihood(np.zeros((4, 3)), **parts)
+
+    def test_log_likelihood_takes_list_mixtures(self):
+        # list means used to fail with an AttributeError on .shape
+        cb = make_codebook(k=2, n=3)
+        X = np.random.default_rng(9).normal(0, 1, (10, 3))
+        assert_same_bits(
+            gmm_log_likelihood(X, cb.weights.tolist(), cb.means.tolist(), cb.variances.tolist()),
+            gmm_log_likelihood(X, cb.weights, cb.means, cb.variances))
+
     def test_gradient_matches_finite_differences(self):
         # pre-normalization blocks = (1/T) * Fisher normalizer * grad loglik
         rng = np.random.default_rng(8)

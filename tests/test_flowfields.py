@@ -701,6 +701,17 @@ class TestSampleFlow:
         f = FlowField(u=np.array([[1.0], [2.0], [4.0]]), v=np.array([[0.0], [-2.0], [-6.0]]))
         assert sample_flow(f, (0.0, 1.5)) == (3.0, -4.0)
 
+    @pytest.mark.parametrize("u, v, got", [
+        (np.zeros(3), np.zeros(3), r"\(3,\) and \(3,\)"),
+        (np.zeros((2, 3)), np.zeros((3, 2)), r"\(2, 3\) and \(3, 2\)"),
+        ([[0.0]], [[0.0]], "list and list"),
+    ], ids=["one_d", "different_shapes", "lists"])
+    def test_field_needs_two_2d_arrays_of_one_shape(self, u, v, got):
+        # a 1-D field used to be accepted and to fail in sample_flow's unpacking
+        with pytest.raises(ValueError, match=f"^u and v must be two 2-D arrays of one shape, "
+                                             f"got {got}$"):
+            FlowField(u=u, v=v)
+
     def test_out_of_bounds(self):
         with pytest.raises(ValueError, match="outside"):
             sample_flow(self.field(), (5.0, 1.0))

@@ -138,6 +138,13 @@ class TestGray:
         with pytest.raises(ValueError, match=rf"pixel \(x=2, y=4\) is not finite: {bad}"):
             media._gray(arr)
 
+    def test_complex_array_rejected_naming_image(self):
+        # casting would drop the imaginary part with only a ComplexWarning
+        img = np.full((4, 5), 100.0) + 1j
+        with pytest.raises(ValueError, match=r"^image must be a 2-D array of real numbers, "
+                                             r"got dtype complex128$"):
+            media._gray(img)
+
 
 class TestInputRules:
     @pytest.mark.parametrize("value", [1, 7, np.int64(3), np.int32(1), np.uint8(2)])

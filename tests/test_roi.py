@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bench import corpus
 from trailblaze import roi
-from trailblaze.media import _gray
+from trailblaze.media import _gray, synth_stereo
 from trailblaze.roi import (
     ALPHA, BG_RATIO, INIT_VARIANCE, MATCH_K, MIN_VARIANCE, NEW_WEIGHT, BackgroundModel, Roi,
     extract_regions, update_and_subtract,
@@ -72,7 +73,9 @@ class TestBackgroundModel:
 
 
 def update_and_subtract_oracle(model: BackgroundModel, frame) -> tuple:
-    """update_and_subtract as it was with a rank inversion and put_along_axis picks."""
+    """update_and_subtract with a rank inversion and put_along_axis picks: a
+    match is background when the sum of the weights ranked ahead of it in a
+    stable descending sort is below BG_RATIO."""
     img = _gray(frame)
     if img.shape != model.shape:
         raise ValueError(f"frame shape {img.shape} does not match model {model.shape}")
@@ -91,8 +94,9 @@ def update_and_subtract_oracle(model: BackgroundModel, frame) -> tuple:
     # background set: weight-sorted prefix reaching BG_RATIO
     order = np.argsort(-w, axis=0, kind="stable")
     sorted_w = np.take_along_axis(w, order, axis=0)
-    cum = np.cumsum(sorted_w, axis=0)
-    in_prefix_sorted = (cum - sorted_w) < BG_RATIO
+    # the sum of the weights ranked ahead of each sorted position: 0, s0, s0 + s1, ...
+    ahead_sorted = np.concatenate([np.zeros_like(sorted_w[:1]), np.cumsum(sorted_w[:-1], axis=0)])
+    in_prefix_sorted = ahead_sorted < BG_RATIO
     rank = np.empty_like(order)
     np.put_along_axis(rank, order, np.arange(w.shape[0])[:, None, None], axis=0)
     best_rank = np.take_along_axis(rank, best[None], axis=0)[0]
@@ -165,6 +169,29 @@ class TestBackgroundModelOracle:
         assert (got.means[1] == 200.0).all() and (got.means[2] == 0.0).all()
         for name in ("weights", "means", "variances"):
             assert same_bits(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("view", [0, 1], ids=["left", "right"])
+    def test_stereo_corpus_frames_bitwise(self, view):
+        # every frame of every rendered video of the stereo benchmark's corpus
+        for video in corpus.stereo_corpus(3):
+            frames = synth_stereo(video.spec, clip_id=video.clip_id)[view].frames
+            model = want = BackgroundModel.initialize(frames[0])
+            for f in frames:
+                model, mask = update_and_subtract(model, f)
+                want, want_mask = update_and_subtract_oracle(want, f)
+                assert same_bits(mask, want_mask), video.clip_id
+                for name in ("weights", "means", "variances"):
+                    assert same_bits(getattr(model, name), getattr(want, name)), name
+
+    def test_weight_ranked_ahead_just_below_ratio_is_background(self):
+        # only w0 = 0.6999999999999998 < 0.7 ranks ahead of the matched
+        # component 1; the cumulative sum minus itself, (w0 + w1) - w1, gives 0.7
+        weights = np.array([0.6999999999999998, 0.2863771481072213, 0.013622851892778842])
+        model = BackgroundModel(weights[:, None, None].copy(),
+                                np.array([0.0, 100.0, 200.0])[:, None, None],
+                                np.full((3, 1, 1), 4.0))
+        _, mask = update_and_subtract(model, np.full((1, 1), 100.0))
+        assert not mask.any()
 
 
 def union_find_oracle(boxes, proximity):

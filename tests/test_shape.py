@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,6 +68,18 @@ class TestDescribe:
         pts = np.zeros((3, 2))
         assert describe(pts, r=2).values.size == 6 == descriptor_dim(2, 2, 2)
 
+    @pytest.mark.parametrize("n, l, r, message", [
+        (3, 1, 5, "order 5 exceeds trajectory length 1"),
+        (0, 15, 2, "n must be an integer >= 1, got 0"),
+        (3, 0, 1, "order 1 exceeds trajectory length 0"),
+        (3, 15, 0, "order must be an integer >= 1, got 0"),
+        (3, 15.0, 2, "trajectory length l must be an integer >= 0, got 15.0"),
+    ], ids=["order_above_length", "no_coordinates", "one_point", "order_zero", "float_length"])
+    def test_dimension_of_bad_sizes_named(self, n, l, r, message):
+        # descriptor_dim(3, 1, 5) was -15 and descriptor_dim(0, 15, 2) was 0
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            descriptor_dim(n, l, r)
+
     def test_order_exceeds_length(self):
         with pytest.raises(ValueError, match="exceeds"):
             describe(np.zeros((3, 2)), r=3)
@@ -85,6 +99,11 @@ class TestDescribe:
     def test_bad_shape_named(self, traj, named):
         with pytest.raises(ValueError, match=f"^trajectory must be a 2-D array {named}"):
             describe(traj, r=1)
+
+    def test_complex_trajectory_named(self):
+        with pytest.raises(ValueError, match=r"^trajectory must be a 2-D array of real numbers, "
+                                             r"got dtype complex64$"):
+            describe(np.zeros((6, 2), dtype=np.complex64), r=1)
 
     @pytest.mark.parametrize("r", [2.0, True, 0, "2"])
     def test_bad_order_named(self, r):
