@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import fisher_vector, fit_gmm
-from .media import _count, _finite, _real
+from .media import _count, _finite, _real, _real_array
 
 GMM_MAX_POINTS = 100_000  # a fold's codebook is fit on at most this many descriptors
 
@@ -134,7 +134,7 @@ def train(examples, C: float = 1.0, epochs: int = 50, seed: int = 0) -> SvmModel
 
 def _feature_matrix(examples) -> np.ndarray:
     """The (n, D) float64 matrix of the examples' Fisher vectors."""
-    fvs = [np.asarray(e.fv, dtype=np.float64) for e in examples]
+    fvs = [_real_array(f"example {i} fv", e.fv, "a vector") for i, e in enumerate(examples)]
     for i, fv in enumerate(fvs):
         if fv.ndim != 1 or fv.shape != fvs[0].shape:
             raise ValueError(f"example {i} has feature shape {fv.shape}, "
@@ -146,7 +146,7 @@ def _feature_matrix(examples) -> np.ndarray:
 
 def predict(model: SvmModel, fv) -> str:
     """Argmax class score; ties break toward the earlier class label."""
-    x = np.asarray(fv, dtype=np.float64)
+    x = _real_array("fv", fv, "a vector")
     if x.shape != (model.weights.shape[1],):
         raise ValueError(f"feature dimension {x.shape} does not match model "
                          f"{model.weights.shape[1]}")

@@ -5,16 +5,16 @@ log-likelihood gain drops below 1e-6.  Encoding keeps the mean and variance
 gradient blocks (dimension 2*N*K), then applies signed square-root and L2
 normalization.
 
-No step builds a (T, K, N) array; every kernel is a matrix product over
-(T, N) and (T, K) arrays.  The Mahalanobis term of the responsibilities is
-expanded as ``X²·(1/σ²)ᵀ − 2X·(μ/σ²)ᵀ + Σ μ²/σ²`` and normalized with a
-max-shifted log-sum-exp.  Before expanding, X and the means are shifted by
-the mixture mean ``c = weights @ means``: the quadratic is unchanged, but
-the expanded terms stay of the size of the data's spread rather than of its
-offset, so they cancel without losing digits.  The EM update and the Fisher
-vector read the same three moments per component in those coordinates,
-``nₖ = Σγ``, ``γᵀ(X − c)`` and ``γᵀ(X − c)²``; the mean and variance
-gradients are ``Σγ(x − μ) = γᵀ(X − c) − nₖ(μ − c)`` and
+One kernel, `_statistics`, runs the E-step of EM, the Fisher vector and the
+log-likelihood, over blocks of `BLOCK_ROWS` rows so that no temporary grows
+with T; each step is a matrix product over (B, N) and (B, K) arrays.  The
+Mahalanobis term is expanded as ``X²·(1/σ²)ᵀ − 2X·(μ/σ²)ᵀ + Σ μ²/σ²`` about
+the mixture mean ``c = weights @ means``, so its terms stay of the size of
+the data's spread, not its offset, and cancel without losing digits.  A γ
+below the smallest normal float is exactly 0, not a subnormal.  The kernel
+returns the log-likelihood and, per component, ``nₖ = Σγ``, ``γᵀ(X − c)``
+and ``γᵀ(X − c)²``; the Fisher vector's gradients are
+``Σγ(x − μ) = γᵀ(X − c) − nₖ(μ − c)`` and
 ``Σγ(x − μ)² = γᵀ(X − c)² − 2(μ − c)·γᵀ(X − c) + nₖ(μ − c)²``.
 
 Every term that depends only on the mixture (``c``, ``μ − c`` and twice
@@ -32,10 +32,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .media import _count, _no_rows, _rows
+from .media import _count, _no_rows, _real_array, _rows
 
 VARIANCE_FLOOR = 1e-6
 EM_TOL = 1e-6
+BLOCK_ROWS = 512  # rows per E-step block: a block's (B, N) and (B, K) arrays fit in a 2 MB L2
+_LOG_TINY = math.log(np.finfo(np.float64).tiny)  # exp below is subnormal, slow in x86 products
 
 
 class _Terms(NamedTuple):
@@ -74,10 +76,7 @@ class FisherCodebook:
 
     def __post_init__(self):
         for name in ("weights", "means", "variances"):
-            try:
-                arr = np.array(getattr(self, name), dtype=np.float64)
-            except (TypeError, ValueError) as e:
-                raise ValueError(f"codebook {name} must be an array of real numbers: {e}") from None
+            arr = np.array(_real_array(f"codebook {name}", getattr(self, name), "an array"))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         k = len(self.weights)
@@ -141,25 +140,33 @@ def _kmeanspp_centers(X: np.ndarray, k: int, rng: np.random.Generator) -> np.nda
     return X[picks]
 
 
-def _log_responsibilities(Xc, terms: _Terms, sq=None):
-    """log γ (T, K) and each point's log-likelihood (T,) of the rows
-    Xc = X − c under the mixture of `terms`.  Xc is squared in place unless
-    its square is passed as `sq`."""
-    log_joint = Xc @ terms.lin                        # (T, K)
-    log_joint += (np.square(Xc, out=Xc) if sq is None else sq) @ terms.quad
-    log_joint += terms.const
-    top = log_joint.max(axis=1)
-    below_top = log_joint - top[:, None]
-    norm = top + np.log(np.exp(below_top, out=below_top).sum(axis=1))
-    log_joint -= norm[:, None]
-    return log_joint, norm
-
-
-def _moments(Xc, gamma, sq=None):
-    """Per component Σγ (K,), γᵀXc and γᵀXc² (K, N) of the rows Xc = X − c.
-    Xc is squared in place unless its square is passed as `sq`."""
-    return (gamma.sum(axis=0), gamma.T @ Xc,
-            gamma.T @ (np.square(Xc, out=Xc) if sq is None else sq))
+def _statistics(X, terms: _Terms):
+    """The E-step of X under the mixture of `terms`: the log-likelihood and the
+    moments Σγ (K,), γᵀ(X − c) and γᵀ(X − c)² (K, N), None for no rows.  Both
+    exponents are at least below_top − log K, so a block whose smallest below_top
+    clears the threshold by log K and a rounding margin skips the −inf passes."""
+    floor = _LOG_TINY + math.log(len(terms.const)) + 1.0
+    ll, moments = 0.0, None
+    for start in range(0, len(X), BLOCK_ROWS):
+        Xc = X[start:start + BLOCK_ROWS] - terms.c
+        sq = np.square(Xc)
+        log_joint = Xc @ terms.lin                    # (B, K)
+        log_joint += sq @ terms.quad
+        log_joint += terms.const
+        top = log_joint.max(axis=1, keepdims=True)
+        below_top = log_joint - top
+        underflow = below_top.min() < floor
+        if underflow:
+            below_top[below_top < _LOG_TINY] = -np.inf
+        norm = top + np.log(np.exp(below_top, out=below_top).sum(axis=1, keepdims=True))
+        log_joint -= norm
+        if underflow:
+            log_joint[log_joint < _LOG_TINY] = -np.inf
+        gamma = np.exp(log_joint, out=log_joint)
+        ll += float(norm.sum())
+        block = (gamma.sum(axis=0), gamma.T @ Xc, gamma.T @ sq)
+        moments = block if moments is None else tuple(m + b for m, b in zip(moments, block))
+    return ll, moments
 
 
 def fit_gmm(descriptors, k: int, seed: int = 0, max_iters: int = 100) -> FisherCodebook:
@@ -184,15 +191,13 @@ def fit_gmm(descriptors, k: int, seed: int = 0, max_iters: int = 100) -> FisherC
     prev_ll = -np.inf
     for it in range(max_iters):
         terms = _codebook_terms(weights, means, variances)
-        log_gamma, point_ll = _log_responsibilities(X - terms.c, terms)
-        ll = float(point_ll.sum())
+        ll, (nk, s1, s2) = _statistics(X, terms)
         if ll + 1e-8 * max(1.0, abs(ll)) < prev_ll:
             raise RuntimeError(f"EM log-likelihood decreased at iteration {it}: "
                                f"{prev_ll!r} -> {ll!r}")
         if ll - prev_ll < EM_TOL * len(X):
             break
         prev_ll = ll
-        nk, s1, s2 = _moments(X - terms.c, np.exp(log_gamma, out=log_gamma))
         nk = np.maximum(nk, 1e-12)
         weights = nk / nk.sum()
         d = s1 / nk[:, None]
@@ -221,12 +226,8 @@ def fisher_vector(descriptors, codebook: FisherCodebook) -> np.ndarray:
 
 def _fv_blocks(X, codebook: FisherCodebook) -> np.ndarray:
     """Pre-normalization gradient blocks, shape (2, K, N): means then variances."""
-    T = len(X)
     terms = codebook._terms
-    Xc = X - terms.c
-    sq = np.square(Xc)
-    log_gamma, _ = _log_responsibilities(Xc, terms, sq)
-    nk, s1, s2 = _moments(Xc, np.exp(log_gamma, out=log_gamma), sq)
+    _, (nk, s1, s2) = _statistics(X, terms)
     nk = nk[:, None]
     nk_mc = nk * terms.mc
     blocks = np.empty((2,) + s1.shape)
@@ -235,7 +236,7 @@ def _fv_blocks(X, codebook: FisherCodebook) -> np.ndarray:
     blocks[1] += nk_mc * terms.mc
     blocks /= terms.scale
     blocks[1] -= nk
-    blocks /= T * terms.fisher
+    blocks /= len(X) * terms.fisher
     return blocks
 
 
@@ -244,6 +245,4 @@ def gmm_log_likelihood(X, weights, means, variances) -> float:
     mixture is checked as a `FisherCodebook` is."""
     codebook = FisherCodebook(weights, means, variances)
     X = _rows("X", X, "X row {0} entry {1}", codebook.dim, ndmin=2)
-    terms = codebook._terms
-    _, point_ll = _log_responsibilities(X - terms.c, terms)
-    return float(point_ll.sum())
+    return _statistics(X, codebook._terms)[0]

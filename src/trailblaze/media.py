@@ -72,17 +72,27 @@ def _no_rows(values) -> bool:
         return False
 
 
+def _real_array(name: str, values, what: str) -> np.ndarray:
+    """`values` as a float64 array.  Input that is ragged or not numbers is a
+    ValueError naming `name` ("{name} must be {what} of real numbers"), as is
+    an array of complex dtype, whose conversion would drop the imaginary part
+    with only a warning; that test reads one attribute rather than calling
+    `np.iscomplexobj`, which would convert a list."""
+    if getattr(getattr(values, "dtype", None), "kind", None) == "c":
+        raise ValueError(f"{name} must be {what} of real numbers, got dtype {values.dtype}")
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{name} must be {what} of real numbers: {e}") from None
+
+
 def _rows(name: str, values, entry: str, width: int | None = None, ndmin: int = 0) -> np.ndarray:
     """`values` as a float64 2-D array `width` wide (>= 1 when None); ndmin=2 takes
-    one row (N,) as (1, N).  Other input, ragged or not numbers, is a ValueError
-    naming `name`, as is a complex array, whose conversion would drop the
-    imaginary part; a NaN or infinite entry is `_finite`'s error with `entry`."""
-    if getattr(getattr(values, "dtype", None), "kind", None) == "c":
-        raise ValueError(f"{name} must be a 2-D array of real numbers, got dtype {values.dtype}")
-    try:
-        arr = np.asarray(np.atleast_2d(values) if ndmin == 2 else values, dtype=np.float64)
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"{name} must be a 2-D array of real numbers: {e}") from None
+    one row (N,) as (1, N).  Other input is `_real_array`'s error naming `name`;
+    a NaN or infinite entry is `_finite`'s error with `entry`."""
+    arr = _real_array(name, values, "a 2-D array")
+    if ndmin == 2:
+        arr = np.atleast_2d(arr)
     if not (arr.ndim == 2 and (arr.shape[1] == width if width else arr.shape[1] > 0)):
         raise ValueError(f"{name} must be a 2-D array of width {width or '>= 1'}, got {arr.shape}")
     _finite(arr, entry)

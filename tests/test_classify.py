@@ -118,7 +118,8 @@ class TestTrain:
         (5, [1.0, 2.0, 3.0], r"example 5 has feature shape \(3,\)"),
         (7, [1.0], r"example 7 has feature shape \(1,\)"),
         (0, [[1.0, 2.0]], r"example 0 has feature shape \(1, 2\)"),
-    ], ids=["nan", "neg_inf", "longer", "shorter", "matrix"])
+        (2, [1 + 5j, 2.0], "^example 2 fv must be a vector of real numbers, got dtype complex128$"),
+    ], ids=["nan", "neg_inf", "longer", "shorter", "matrix", "complex"])
     def test_bad_feature_named(self, row, fv, named):
         examples = separable_blobs()
         examples[row] = LabeledVideo(np.array(fv), examples[row].label, examples[row].actor)
@@ -245,6 +246,13 @@ class TestPredict:
         model = SvmModel(weights=np.zeros((2, 3)), biases=np.zeros(2), labels=("a", "b"))
         with pytest.raises(ValueError, match="dimension"):
             predict(model, np.zeros(4))
+
+    def test_complex_feature_named(self):
+        # the imaginary part used to be dropped with only a ComplexWarning: this gave 'b'
+        model = SvmModel(np.eye(2), np.zeros(2), ("a", "b"))
+        with pytest.raises(ValueError, match="^fv must be a vector of real numbers, "
+                                             "got dtype complex128$"):
+            predict(model, np.array([1 + 5j, 2]))
 
     @pytest.mark.parametrize("fv, named", [
         ([np.nan, 1.0], "feature 0 is not finite: nan"),

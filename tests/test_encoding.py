@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from bench import corpus
 from trailblaze import encoding, shape
 from trailblaze.encoding import (
-    EM_TOL, VARIANCE_FLOOR, FisherCodebook, _codebook_terms, _fv_blocks, _kmeanspp_centers,
-    _log_responsibilities, fisher_vector, fit_gmm, gmm_log_likelihood,
+    BLOCK_ROWS, EM_TOL, VARIANCE_FLOOR, FisherCodebook, _codebook_terms, _fv_blocks,
+    _kmeanspp_centers, _statistics, fisher_vector, fit_gmm, gmm_log_likelihood,
 )
 
 
@@ -144,10 +144,23 @@ def fit_gmm_oracle(X, k, seed, max_iters):
     return weights, means, variances
 
 
-def log_responsibilities(X, weights, means, variances):
-    """The responsibilities kernel on raw rows, as gmm_log_likelihood runs it."""
-    terms = _codebook_terms(weights, means, variances)
-    return _log_responsibilities(X - terms.c, terms)
+def statistics(X, cb: FisherCodebook):
+    """The E-step kernel's log-likelihood and moments (Σγ, γᵀ(X − c), γᵀ(X − c)²)."""
+    return _statistics(X, cb._terms)
+
+
+def oracle_moments(X, cb: FisherCodebook):
+    """The moments of the (T, K, N) oracle's γ about the mixture mean c."""
+    log_gamma, _ = log_responsibilities_oracle(X, cb.weights, cb.means, cb.variances)
+    gamma = np.exp(log_gamma)
+    Xc = X - cb.weights @ cb.means
+    return gamma.sum(axis=0), gamma.T @ Xc, gamma.T @ Xc ** 2
+
+
+def assert_close(got, want, rtol):
+    """Each array within `rtol` of the largest magnitude of the array it is compared with."""
+    for got_part, want_part in zip(got, want):
+        assert np.abs(got_part - want_part).max() <= rtol * np.abs(want_part).max()
 
 
 def assert_same_bits(got, want):
@@ -184,11 +197,12 @@ class TestFitGmm:
         assert np.all(np.abs(cb.weights - 0.5) < 0.05)
 
     def test_responsibilities_rows_sum_to_one(self):
+        # Σγ over the components is each row's total, so the counts add up to T
         rng = np.random.default_rng(2)
         X = rng.normal(0, 1, (50, 3))
         cb = make_codebook(n=3)
-        log_gamma, _ = log_responsibilities(X, cb.weights, cb.means, cb.variances)
-        assert np.allclose(np.exp(log_gamma).sum(axis=1), 1.0, atol=1e-9)
+        _, (nk, _, _) = statistics(X, cb)
+        assert abs(nk.sum() - len(X)) <= 1e-9 * len(X)
 
     def test_loglik_monotone(self):
         # run EM manually mirroring fit_gmm and record the likelihood path
@@ -201,12 +215,12 @@ class TestFitGmm:
         # each call lowers every point's log-likelihood by 1000 more than the last
         calls = []
 
-        def decreasing(Xc, terms):
-            log_gamma, norm = _log_responsibilities(Xc, terms)
+        def decreasing(X, terms):
+            ll, moments = _statistics(X, terms)
             calls.append(None)
-            return log_gamma, norm - 1000.0 * len(calls)
+            return ll - 1000.0 * len(X) * len(calls), moments
 
-        monkeypatch.setattr(encoding, "_log_responsibilities", decreasing)
+        monkeypatch.setattr(encoding, "_statistics", decreasing)
         rng = np.random.default_rng(5)
         X = rng.normal(0, 1, (40, 2))
         with pytest.raises(RuntimeError, match=r"iteration 1: -\d.* -> -\d"):
@@ -364,8 +378,10 @@ class TestKernelOracles:
     """The expanded kernels against the (T, K, N) code they replaced.
 
     Data and means lie within about 20 σ of each other at every scale and
-    offset, so each Mahalanobis term is at most a few thousand and log γ is
-    held to 1e-9 absolute; the gradient blocks to 1e-9 of their largest entry.
+    offset, so each Mahalanobis term is at most a few thousand and each row's
+    log-likelihood is held to 1e-9 absolute; Σγ to 1e-9 of T, since each γ
+    is within 1e-9 of the oracle's, and the other moments and the gradient
+    blocks to 1e-9 of their largest entry.
     """
 
     @settings(max_examples=300, deadline=None)
@@ -382,11 +398,12 @@ class TestKernelOracles:
             variances=np.clip(var * rng.uniform(0.5, 2.0, (K, N)), 1e-6, 1e2))
         X = offset + np.sqrt(var) * rng.normal(0, 2, (T, N))
 
-        log_gamma, norm = log_responsibilities(X, cb.weights, cb.means, cb.variances)
-        want_gamma, want_norm = log_responsibilities_oracle(X, cb.weights, cb.means,
-                                                            cb.variances)
-        assert np.abs(log_gamma - want_gamma).max() <= 1e-9
-        assert np.abs(norm - want_norm).max() <= 1e-9
+        ll, (nk, s1, s2) = statistics(X, cb)
+        want_nk, want_s1, want_s2 = oracle_moments(X, cb)
+        want_ll = log_responsibilities_oracle(X, cb.weights, cb.means, cb.variances)[1].sum()
+        assert abs(ll - want_ll) <= 1e-9 * T
+        assert np.abs(nk - want_nk).max() <= 1e-9 * T
+        assert_close((s1, s2), (want_s1, want_s2), 1e-9)
 
         blocks, want = _fv_blocks(X, cb), fv_blocks_oracle(X, cb)
         for got_block, want_block in zip(blocks, want):
@@ -398,26 +415,30 @@ class TestKernelOracles:
         # log-sum-exp must shift by the row maximum
         cb = make_codebook(seed=16, k=3, n=4)
         X = cb.means[[0, 2]] + 120.0 * np.sqrt(cb.variances[[0, 2]])
-        log_gamma, norm = log_responsibilities(X, cb.weights, cb.means, cb.variances)
-        want_gamma, want_norm = log_responsibilities_oracle(X, cb.weights, cb.means,
-                                                            cb.variances)
-        assert np.all(norm < -2e4)
-        assert np.allclose(norm, want_norm, rtol=1e-12, atol=0)
-        assert np.allclose(log_gamma, want_gamma, rtol=0, atol=1e-8)
+        ll, (nk, s1, s2) = statistics(X, cb)
+        want_nk, want_s1, want_s2 = oracle_moments(X, cb)
+        want_norm = log_responsibilities_oracle(X, cb.weights, cb.means, cb.variances)[1]
+        assert np.all(want_norm < -2e4)
+        assert np.isclose(ll, want_norm.sum(), rtol=1e-12, atol=0)
+        assert np.allclose(nk, want_nk, rtol=0, atol=1e-8 * len(X))
+        assert_close((s1, s2), (want_s1, want_s2), 1e-8)
+        assert_close(_fv_blocks(X, cb), fv_blocks_oracle(X, cb), 1e-8)
 
     def test_responsibilities_need_no_tkn_temporary(self):
-        # the replaced code held two (T, K, N) float64 arrays: about 1.8 GB here
+        # the (T, K, N) code held two float64 arrays of about 1.8 GB here, and the
+        # unblocked kernels (T, N) and (T, K) ones of about 55 MB; a block's
+        # (B, N) and (B, K) arrays and a few (K, N) moments do not grow with T
         T, K, N = 20_000, 64, 87
         rng = np.random.default_rng(14)
         X = rng.normal(0, 1, (T, N))
         cb = make_codebook(seed=15, k=K, n=N)
         tracemalloc.start()
         try:
-            log_responsibilities(X, cb.weights, cb.means, cb.variances)
+            statistics(X, cb)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < T * (N + 4 * K) * 8
+        assert peak < (4 * BLOCK_ROWS * (N + K) + 16 * K * N) * 8
 
 
 def corpus_descriptors(seed):
@@ -426,24 +447,79 @@ def corpus_descriptors(seed):
             for v in corpus.trajectory_corpus(seed)]
 
 
+# Sums over more than BLOCK_ROWS rows add the blocks' partial sums, in another
+# order than the oracles' one pass, so a fit or log-likelihood over more rows is
+# held to the oracle within this share of each array's largest magnitude.  Each
+# moment then rounds about 2e-16 times the number of blocks apart; 1e-12 leaves
+# room for EM to carry that through a few iterations.
+MULTI_BLOCK_RTOL = 1e-12
+
+
 class TestTermsOncePerCodebookOracles:
     """fit_gmm, fisher_vector and gmm_log_likelihood against the kernels that
-    rebuilt the mixture terms on every call: the same bits, not just close."""
+    rebuilt the mixture terms on every call: the same bits, not just close,
+    on up to BLOCK_ROWS rows; within MULTI_BLOCK_RTOL on more."""
 
     @pytest.mark.parametrize("seed", [1, 3, 23])
     def test_trajectory_corpus_bitwise(self, seed):
+        # each Fisher vector reads one codebook and one block, so it keeps every bit;
+        # the fit of 9,600 rows (19 blocks) and the 1,000-row likelihood are close
         descs = corpus_descriptors(seed)
         pool = np.vstack(descs)
         cb = fit_gmm(pool, k=16, seed=seed, max_iters=4)
-        for got, want in zip((cb.weights, cb.means, cb.variances),
-                             fit_gmm_oracle(pool, 16, seed, 4)):
-            assert_same_bits(got, want)
+        assert_close((cb.weights, cb.means, cb.variances), fit_gmm_oracle(pool, 16, seed, 4),
+                     MULTI_BLOCK_RTOL)
         for X in descs:
             assert_same_bits(fisher_vector(X, cb), fisher_vector_oracle(X, cb))
         X = pool[:1000]
         want = float(shifted_log_responsibilities_oracle(
             X, cb.weights, cb.means, cb.variances)[1].sum())
-        assert_same_bits(gmm_log_likelihood(X, cb.weights, cb.means, cb.variances), want)
+        got = gmm_log_likelihood(X, cb.weights, cb.means, cb.variances)
+        assert abs(got - want) <= MULTI_BLOCK_RTOL * abs(want)
+
+    def test_ragged_blocks_close(self):
+        # two whole blocks and a third of 7 rows
+        rng = np.random.default_rng(20)
+        T, K, N = 2 * BLOCK_ROWS + 7, 5, 6
+        X = np.vstack([rng.normal(m, 1.0, (T // K + 1, N)) for m in range(K)])[:T] + 1e3
+        cb = fit_gmm(X, k=K, seed=20, max_iters=5)
+        assert_close((cb.weights, cb.means, cb.variances), fit_gmm_oracle(X, K, 20, 5),
+                     MULTI_BLOCK_RTOL)
+        want = float(shifted_log_responsibilities_oracle(
+            X, cb.weights, cb.means, cb.variances)[1].sum())
+        got = gmm_log_likelihood(X, cb.weights, cb.means, cb.variances)
+        assert abs(got - want) <= MULTI_BLOCK_RTOL * abs(want)
+        assert_close(_fv_blocks(X, cb), shifted_fv_blocks_oracle(X, cb), MULTI_BLOCK_RTOL)
+
+    @pytest.mark.parametrize("x, y, below_top_clear", [
+        ((-1.0, 4.0), (1.45, 2.15), False),
+        ((0.0, 0.0), (2.2835, 2.2915), True),
+    ], ids=["far", "within_log_k"])
+    def test_subnormal_responsibilities_are_zero(self, x, y, below_top_clear):
+        # component 2 lies 40 σ from the rows, so every row's log γ for it is
+        # between -745 and log(tiny) = -708.4: exp gives a subnormal, which the
+        # kernel takes to 0; the others and the log-likelihood keep every bit.
+        # Rows halfway between components 0 and 1 have Σ exp(below_top) = 2, so
+        # there log γ is below log(tiny) while the shifted exponent is above it
+        rng = np.random.default_rng(21)
+        cb = FisherCodebook(weights=np.full(3, 1 / 3),
+                            means=np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 40.0]]),
+                            variances=np.ones((3, 2)))
+        X = np.column_stack([rng.uniform(*x, 60), rng.uniform(*y, 60)])
+        log_gamma, norm = shifted_log_responsibilities_oracle(X, cb.weights, cb.means,
+                                                              cb.variances)
+        log_tiny = np.log(np.finfo(np.float64).tiny)
+        assert np.all((-745.0 < log_gamma[:, 2]) & (log_gamma[:, 2] < log_tiny))
+        assert np.all(log_gamma[:, :2] > log_tiny)
+        assert np.all(log_gamma[:, 2] - log_gamma.max(axis=1) > log_tiny) == below_top_clear
+        gamma = np.exp(log_gamma)
+        assert np.all(gamma[:, 2] > 0.0)
+        gamma[log_gamma < log_tiny] = 0.0
+        ll, moments = statistics(X, cb)
+        for got, want in zip(moments, shifted_moments_oracle(X, gamma, cb.weights @ cb.means)):
+            assert_same_bits(got, want)
+        assert moments[0][2] == 0.0
+        assert_same_bits(ll, float(norm.sum()))
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 60), st.integers(1, 8),
@@ -592,6 +668,11 @@ class TestFisherVector:
         with pytest.raises(ValueError, match=f"^{named}"):
             gmm_log_likelihood(np.zeros((4, 3)), **parts)
 
+    def test_log_likelihood_of_no_rows_is_zero(self):
+        cb = make_codebook(k=2, n=3)
+        got = gmm_log_likelihood(np.zeros((0, 3)), cb.weights, cb.means, cb.variances)
+        assert type(got) is float and got == 0.0
+
     def test_log_likelihood_takes_list_mixtures(self):
         # list means used to fail with an AttributeError on .shape
         cb = make_codebook(k=2, n=3)
@@ -669,6 +750,18 @@ class TestFisherCodebook:
         parts[field] = np.array(value)
         with pytest.raises(ValueError, match=f"codebook {message}"):
             FisherCodebook(**parts)
+
+    @pytest.mark.parametrize("name", ["weights", "means", "variances"])
+    def test_complex_arrays_named(self, name):
+        # the imaginary part used to be dropped with only a ComplexWarning
+        cb = make_codebook(seed=20, k=2, n=3)
+        parts = dict(weights=cb.weights, means=cb.means, variances=cb.variances)
+        parts[name] = parts[name] + 1j
+        named = f"^codebook {name} must be an array of real numbers, got dtype complex128$"
+        with pytest.raises(ValueError, match=named):
+            FisherCodebook(**parts)
+        with pytest.raises(ValueError, match=named):
+            gmm_log_likelihood(np.zeros((4, 3)), **parts)
 
     @pytest.mark.parametrize("name", ["weights", "means", "variances"])
     def test_arrays_are_read_only(self, name):
