@@ -49,11 +49,14 @@ class SvmModel:
     labels: tuple
 
     def __post_init__(self):
+        for name in ("weights", "biases"):
+            object.__setattr__(self, name, _real_array(f"model {name}", getattr(self, name),
+                                                       "an array"))
         if (self.weights.ndim != 2 or len(self.labels) != len(self.weights)
                 or self.biases.shape != (len(self.weights),)):
             raise ValueError("one weight vector and bias per class required")
-        if not np.isfinite(self.weights).all() or not np.isfinite(self.biases).all():
-            raise ValueError("model parameters must be finite")
+        _finite(self.weights, "model weight (class {0}, feature {1})")
+        _finite(self.biases, "model bias {0}")
 
 
 @dataclass
@@ -64,11 +67,16 @@ class ConfusionMatrix:
     labels: tuple
 
     def __post_init__(self):
-        self.counts = np.asarray(self.counts, dtype=np.int64)
-        if self.counts.shape != (len(self.labels), len(self.labels)):
+        counts = _real_array("counts", self.counts, "an array")
+        if counts.shape != (len(self.labels), len(self.labels)):
             raise ValueError("counts must be CxC")
-        if (self.counts < 0).any():
-            raise ValueError("counts must be non-negative")
+        _finite(counts, "count ({0}, {1})")
+        bad = np.argwhere((counts < 0) | (counts != np.floor(counts)))
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(f"counts must be whole and non-negative: count ({i}, {j}) is "
+                             f"{counts[i, j]}")
+        self.counts = counts.astype(np.int64)
 
 
 def derive_seed(seed: int, tag: str) -> int:
@@ -168,6 +176,7 @@ def leave_one_actor_out(videos, k: int = 64, C: float = 1.0, epochs: int = 50,
     and SVM fit on the remaining actors only; fold confusion matrices are
     summed into the blended matrix."""
     _count("seed", seed, 0)
+    _count("k", k)
     videos = list(videos)
     owner = {}
     width = None  # (clip_id, N) of the first video with a 2-D descriptor set
@@ -204,6 +213,9 @@ def leave_one_actor_out(videos, k: int = 64, C: float = 1.0, epochs: int = 50,
         if len(pool) > GMM_MAX_POINTS:
             rng = np.random.default_rng(fold_seed)
             pool = pool[rng.choice(len(pool), GMM_MAX_POINTS, replace=False)]
+        if len(pool) < k:
+            raise ValueError(f"fold for actor {actor} fits its codebook on {len(pool)} "
+                             f"training descriptors, fewer than k = {k}")
         codebook = fit_gmm(pool, k=k, seed=fold_seed, max_iters=max_iters)
         model = train([LabeledVideo(fisher_vector(v.descriptors, codebook), v.label, v.actor)
                        for v in train_videos], C=C, epochs=epochs, seed=fold_seed)

@@ -79,8 +79,7 @@ class FisherCodebook:
             arr = np.array(_real_array(f"codebook {name}", getattr(self, name), "an array"))
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        k = len(self.weights)
-        if (self.weights.ndim != 1 or self.means.ndim != 2 or len(self.means) != k
+        if (self.weights.ndim != 1 or self.means.ndim != 2 or len(self.means) != len(self.weights)
                 or self.variances.shape != self.means.shape):
             raise ValueError(f"codebook needs weights (K,), means and variances (K, N); got "
                              f"weights {self.weights.shape}, means {self.means.shape}, "

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .media import _bilinear, _count, _gray, _no_rows, _point, _rows
+from .media import _bilinear, _count, _finite, _gray, _no_rows, _point, _rows
 
 BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
@@ -50,7 +50,8 @@ class TrackResult:
 
 @dataclass(frozen=True)
 class FlowField:
-    """Dense displacement field; u is the x component, v the y component."""
+    """Dense displacement field; u is the x component, v the y component,
+    two finite 2-D arrays of one shape."""
 
     u: np.ndarray
     v: np.ndarray
@@ -62,6 +63,8 @@ class FlowField:
             raise ValueError(f"u and v must be two 2-D arrays of one shape, got "
                              f"{getattr(u, 'shape', type(u).__name__)} and "
                              f"{getattr(v, 'shape', type(v).__name__)}")
+        _finite(u, "flow u at (x={1}, y={0})")
+        _finite(v, "flow v at (x={1}, y={0})")
 
 
 def _downsample(img: np.ndarray) -> np.ndarray:
@@ -124,7 +127,6 @@ def lk_track(prev, next, points, levels: int = 3, window: int = 15) -> list:
 
     pyr0 = _pyramid(img0, levels, window + 2)
     pyr1 = _pyramid(img1, levels, window + 2)
-    stacks = [np.stack(_gradients(im) + (im,)) for im in pyr0]  # Ix, Iy, I0 per level
     off = np.arange(-half, half + 1, dtype=np.float64)
     oy, ox = np.meshgrid(off, off, indexing="ij")
     min_eig_thresh = LK_MIN_EIG_FACTOR * window * window
@@ -135,7 +137,7 @@ def lk_track(prev, next, points, levels: int = 3, window: int = 15) -> list:
         scale = 2.0 ** lvl
         sx = (pts[live, 0] / scale)[:, None, None] + ox
         sy = (pts[live, 1] / scale)[:, None, None] + oy
-        Ix, Iy, I0 = _bilinear(stacks[lvl], sx, sy)
+        Ix, Iy, I0 = _bilinear(np.stack(_gradients(pyr0[lvl]) + (pyr0[lvl],)), sx, sy)
         gxx = (Ix * Ix).sum(axis=(1, 2))
         gxy = (Ix * Iy).sum(axis=(1, 2))
         gyy = (Iy * Iy).sum(axis=(1, 2))
@@ -146,8 +148,6 @@ def lk_track(prev, next, points, levels: int = 3, window: int = 15) -> list:
             eig_min = 0.5 * (gxx + gyy) - np.hypot(0.5 * (gxx - gyy), gxy)
             fail |= eig_min < min_eig_thresh
             weak[live[fail]] = True
-        else:
-            g[live[fail]] *= 2.0  # singular coarse level: skip it
         ok = ~fail
         solve = live[ok]
         sx, sy, Ix, Iy, I0 = sx[ok], sy[ok], Ix[ok], Iy[ok], I0[ok]
@@ -168,7 +168,9 @@ def lk_track(prev, next, points, levels: int = 3, window: int = 15) -> list:
             nu[act, 0] += s0
             nu[act, 1] += s1
             act = act[~(np.hypot(s0, s1) < LK_EPS)]  # a NaN step keeps iterating
-        g[solve] = (gl + nu) if lvl == 0 else 2.0 * (gl + nu)
+        g[solve] = gl + nu
+        if lvl:
+            g[live] *= 2.0  # to the finer level; a singular level added no step
 
     moved = np.where(weak[:, None], pts, pts + g)
     tracked = started & ~weak & inside(moved)

@@ -59,8 +59,6 @@ def detect_fast(gray, threshold: float = 20.0) -> list:
     brighter = ring > center + threshold
     darker = ring < center - threshold
     is_corner = _has_arc(brighter) | _has_arc(darker)
-    if not is_corner.any():
-        return []
 
     # scored at segment-test corners only; each sum runs along the ring in ring
     # order, as numpy sums a whole (16, h, w) stack with more than one pixel

@@ -5,7 +5,8 @@ Clips are directories of binary PGM (P5) / PPM (P6) frames named
 ``frame_000000.pgm`` onwards.  The layers that read pixels convert them with
 ``_gray`` (float64 grayscale in 0-255 units) and sample them with
 ``_bilinear``.  Every layer checks its inputs with the shared rules here: ``_count``,
-``_finite``, ``_point``, ``_no_rows``, ``_rows``, ``_real`` and ``_finite_real``.
+``_finite``, ``_point``, ``_no_rows``, ``_real_array``, ``_rows``, ``_real`` and
+``_finite_real``.
 The synthetic generator renders textured square sprites moving along
 parametric paths, seen by a rectified pinhole stereo pair with horizontal
 baseline, and reports exact per-frame projections, disparities and the
@@ -120,10 +121,14 @@ class Frame:
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "Frame":
-        arr = np.asarray(arr)
-        if arr.dtype != np.uint8:
-            arr = np.clip(np.round(arr), 0, 255).astype(np.uint8)
-        return cls(arr)
+        """A Frame of uint8 data as it is, or of other real pixels rounded and
+        clipped to 0-255; a complex array or a NaN or infinite pixel is a
+        ValueError naming it."""
+        if getattr(arr, "dtype", None) == np.uint8:
+            return cls(np.asarray(arr))
+        arr = _real_array("frame", arr, "an array")
+        _finite(np.atleast_2d(arr), "pixel (x={1}, y={0})")
+        return cls(np.clip(np.round(arr), 0, 255).astype(np.uint8))
 
 
 @dataclass(frozen=True)
@@ -136,10 +141,12 @@ class Clip:
     def __post_init__(self):
         if len(self.frames) < 2:
             raise ValueError("a clip needs at least 2 frames")
-        shape = self.frames[0].data.shape
-        for f in self.frames[1:]:
-            if f.data.shape != shape:
-                raise ValueError("clip frames must share dimensions and channel count")
+        for i, f in enumerate(self.frames):
+            if not isinstance(f, Frame):
+                raise ValueError(f"clip frame {i} must be a Frame, got {type(f).__name__}")
+            if f.data.shape != self.frames[0].data.shape:
+                raise ValueError(f"clip frames must share dimensions and channel count: frame "
+                                 f"{i} has {f.data.shape}, frame 0 {self.frames[0].data.shape}")
 
 
 def _gray(image) -> np.ndarray:
@@ -373,6 +380,8 @@ class SceneSpec:
             raise ValueError("scene needs at least one object")
         _check_sprite_size("patch", self.patch)
         for i, obj in enumerate(self.objects):
+            if not isinstance(obj, ObjectPath):
+                raise ValueError(f"object {i} must be an ObjectPath, got {type(obj).__name__}")
             size = obj.params.get("patch", self.patch)
             _check_sprite_size(f"object {i} patch", size)
             centers = np.array([obj.center(t) for t in range(self.frames)], dtype=np.float64)
@@ -434,8 +443,7 @@ def _paint_sprite(img: np.ndarray, tex: np.ndarray, topleft) -> None:
     py, px = np.mgrid[y0:y1, x0:x1]
     tx, ty = px - tlx, py - tly
     inside = (tx >= 0) & (tx <= size - 1) & (ty >= 0) & (ty <= size - 1)
-    if inside.any():
-        img[y0:y1, x0:x1][inside] = _bilinear(tex, tx[inside], ty[inside])
+    img[y0:y1, x0:x1][inside] = _bilinear(tex, tx[inside], ty[inside])
 
 
 def synth_stereo(spec: SceneSpec, clip_id: str = "scene") -> tuple:

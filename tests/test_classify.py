@@ -284,6 +284,30 @@ class TestAccuracy:
             accuracy(ConfusionMatrix(np.zeros((2, 2), int), ("a", "b")))
 
 
+class TestConfusionMatrix:
+    @pytest.mark.parametrize("counts, named", [
+        ([[0.5, 1], [1, 1]], r"counts must be whole and non-negative: count \(0, 0\) is 0.5"),
+        ([[1, 1], [-2, 1]], r"counts must be whole and non-negative: count \(1, 0\) is -2.0"),
+        ([[1, np.nan], [1, 1]], r"count \(0, 1\) is not finite: nan"),
+        ([[1, 1], [1, np.inf]], r"count \(1, 1\) is not finite: inf"),
+    ], ids=["half", "negative", "nan", "inf"])
+    def test_bad_count_named(self, counts, named):
+        # 0.5 used to be truncated to 0 without a word
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            ConfusionMatrix(counts, ("a", "b"))
+
+    def test_complex_counts_named(self):
+        with pytest.raises(ValueError, match="^counts must be an array of real numbers"):
+            ConfusionMatrix(np.eye(2) + 1j, ("a", "b"))
+
+    @pytest.mark.parametrize("counts", [np.eye(3) * 2, np.eye(3, dtype=np.int32) * 2,
+                                        (np.eye(3) * 2).tolist()], ids=["float", "int32", "list"])
+    def test_whole_counts_stored_as_int64(self, counts):
+        cm = ConfusionMatrix(counts, ("a", "b", "c"))
+        assert cm.counts.dtype == np.int64
+        assert np.array_equal(cm.counts, np.eye(3, dtype=np.int64) * 2)
+
+
 def one_hot_videos(classes=3, actors=4, reps=3):
     """Descriptor sets whose mean is a one-hot code of the class."""
     videos = []
@@ -354,6 +378,19 @@ class TestLeaveOneActorOut:
         with pytest.raises(ValueError, match="actor1"):
             leave_one_actor_out(videos, k=2, epochs=5, seed=0)
 
+    def test_fold_smaller_than_k_names_actor(self):
+        # 3 actors x 2 classes x 1 rep of 12 rows: each fold fits on 48 rows; the
+        # error used to come from fit_gmm without naming the fold
+        videos = one_hot_videos(classes=2, actors=3, reps=1)
+        with pytest.raises(ValueError, match="^fold for actor actor0 fits its codebook on 48 "
+                                             "training descriptors, fewer than k = 64$"):
+            leave_one_actor_out(videos, k=64, epochs=2, seed=0)
+
+    @pytest.mark.parametrize("k", [0, 2.0, "2"])
+    def test_bad_k_named(self, k):
+        with pytest.raises(ValueError, match=f"^k must be an integer >= 1, got {k!r}$"):
+            leave_one_actor_out(one_hot_videos(classes=2, actors=2, reps=2), k=k, epochs=2)
+
     def test_clip_id_under_two_actors_named(self):
         videos = one_hot_videos(classes=2, actors=2, reps=2)
         dup = next(v for v in videos if v.actor == "actor1")
@@ -405,6 +442,27 @@ class TestLeaveOneActorOut:
 
 
 class TestSvmModel:
+    def test_lists_become_float_arrays(self):
+        # lists used to fail on '.ndim'
+        model = SvmModel([[1.0, 2.0]], [0.0], ("a",))
+        for arr in (model.weights, model.biases):
+            assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
+        assert predict(model, [1.0, 1.0]) == "a"
+
+    @pytest.mark.parametrize("weights, biases, named", [
+        ([[1.0, 2.0], [np.nan, 0.0]], [0.0, 0.0], r"model weight \(class 1, feature 0\) is not "
+                                                   r"finite: nan"),
+        ([[1.0, 2.0], [3.0, 0.0]], [0.0, -np.inf], "model bias 1 is not finite: -inf"),
+    ], ids=["weight", "bias"])
+    def test_non_finite_entry_named(self, weights, biases, named):
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            SvmModel(np.array(weights), np.array(biases), ("a", "b"))
+
+    def test_complex_weights_named(self):
+        with pytest.raises(ValueError, match="^model weights must be an array of real numbers, "
+                                             "got dtype complex128$"):
+            SvmModel(np.zeros((2, 3)) + 1j, np.zeros(2), ("a", "b"))
+
     @pytest.mark.parametrize("field, value", [
         ("labels", ("a",)),
         ("biases", np.zeros(1)),

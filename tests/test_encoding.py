@@ -726,13 +726,19 @@ class TestFisherCodebook:
         lambda a: a.update(weights=a["weights"][:, None]),
         lambda a: a.update(means=a["means"][:, :-1]),
         lambda a: a.update(variances=a["variances"][:-1]),
-    ], ids=["weights_k1", "means_n_minus_1", "variances_k_minus_1"])
+        lambda a: a.update(weights=1.0),
+        lambda a: a.update(means=2.0),
+    ], ids=["weights_k1", "means_n_minus_1", "variances_k_minus_1", "scalar_weights",
+            "scalar_means"])
     def test_bad_shape_rejected(self, damage):
+        # scalar weights used to raise TypeError: len() of unsized object
         cb = make_codebook(seed=12, k=4, n=3)
         parts = dict(weights=cb.weights, means=cb.means, variances=cb.variances)
         damage(parts)
         with pytest.raises(ValueError, match="codebook needs weights"):
             FisherCodebook(**parts)
+        with pytest.raises(ValueError, match="codebook needs weights"):
+            gmm_log_likelihood(np.zeros((5, 3)), **parts)
 
     @pytest.mark.parametrize("field, value, message", [
         ("weights", [np.nan, 1.0], "weights must be finite"),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from bench import corpus
 from trailblaze import flowfields
 from trailblaze.flowfields import (
     FB_ITERATIONS, FB_LEVELS, FB_POLY_N, FB_POLY_SIGMA, FB_WINDOW, LK_EPS, LK_MAX_ITERS,
@@ -712,6 +713,15 @@ class TestSampleFlow:
                                              f"got {got}$"):
             FlowField(u=u, v=v)
 
+    @pytest.mark.parametrize("plane, bad", [("u", np.inf), ("v", np.nan)])
+    def test_non_finite_field_named(self, plane, bad):
+        # sample_flow used to return (nan, 0.0) from an infinite u
+        planes = dict(u=np.zeros((3, 3)), v=np.zeros((3, 3)))
+        planes[plane][2, 1] = bad
+        named = rf"^flow {plane} at \(x=1, y=2\) is not finite: {bad}$"
+        with pytest.raises(ValueError, match=named):
+            FlowField(**planes)
+
     def test_out_of_bounds(self):
         with pytest.raises(ValueError, match="outside"):
             sample_flow(self.field(), (5.0, 1.0))
@@ -733,3 +743,49 @@ class TestSampleFlow:
                                    (np.int64(1), np.float32(2.0))])
     def test_any_two_reals_accepted(self, p):
         assert sample_flow(self.field(), p) == (9.0, -9.0)
+
+
+@pytest.fixture(scope="module")
+def rendered_stereo():
+    """Every third video of `stereo_corpus` seeds 1-3: left and right frames as
+    float arrays, with the scene's `GroundTruth`."""
+    videos = []
+    for seed in (1, 2, 3):
+        for v in corpus.stereo_corpus(seed)[::3]:
+            left, right, gt = synth_stereo(v.spec, v.clip_id)
+            videos.append((f"seed {seed} {v.clip_id}",
+                           [f.data.astype(np.float64) for f in left.frames],
+                           [f.data.astype(np.float64) for f in right.frames], gt))
+    return videos
+
+
+def sprite_steps(rendered_stereo):
+    """(video name, t, left t, left t + 1, right t, gt) for frames 2 to frames - 2."""
+    for name, left, right, gt in rendered_stereo:
+        for t in range(2, len(left) - 1):
+            yield name, t, left[t], left[t + 1], right[t], gt
+
+
+class TestGroundTruth:
+    """Each tracker layer against the generator's exact sprite centres."""
+
+    def test_lk_track_lands_on_next_centres(self, rendered_stereo):
+        for name, t, l0, l1, _, gt in sprite_steps(rendered_stereo):
+            res = lk_track(l0, l1, gt.left_uv[t], levels=3, window=9)
+            assert [r.reason for r in res] == [None] * len(res), (name, t)
+            err = np.hypot(*(np.array([r.point for r in res]) - gt.left_uv[t + 1]).T)
+            assert err.max() <= 0.2, (name, t, err)
+
+    def test_farneback_motion_at_centres(self, rendered_stereo):
+        for name, t, l0, l1, _, gt in sprite_steps(rendered_stereo):
+            field = farneback_flow(l0, l1)
+            got = np.array([sample_flow(field, p) for p in gt.left_uv[t]])
+            err = np.hypot(*(got - (gt.left_uv[t + 1] - gt.left_uv[t])).T)
+            assert err.max() <= 0.1, (name, t, err)
+
+    def test_farneback_left_to_right_is_minus_disparity(self, rendered_stereo):
+        for name, t, l0, _, r0, gt in sprite_steps(rendered_stereo):
+            field = farneback_flow(l0, r0)
+            u, v = np.array([sample_flow(field, p) for p in gt.left_uv[t]]).T
+            assert np.abs(-u - gt.disparity[t]).max() <= 0.1, (name, t, u, gt.disparity[t])
+            assert np.abs(v).max() < 0.1, (name, t, v)

@@ -64,8 +64,9 @@ class TestToGrayscale:
 class TestFrame:
     @pytest.mark.parametrize("shape", [(5,), ()])
     def test_from_array_other_shape_rejected_with_shape(self, shape):
-        with pytest.raises(ValueError, match=re.escape(str(shape))):
-            Frame.from_array(np.zeros(shape, dtype=np.uint8))
+        for dtype in (np.uint8, np.float64):
+            with pytest.raises(ValueError, match=re.escape(str(shape))):
+                Frame.from_array(np.zeros(shape, dtype=dtype))
 
     @pytest.mark.parametrize("shape", [(4, 5, 1), (4, 5, 4), (5,), (2, 3, 3, 1)])
     def test_other_shape_rejected_with_shape(self, shape):
@@ -91,6 +92,37 @@ class TestFrame:
         gray = Frame(np.zeros((4, 5), dtype=np.uint8))
         with pytest.raises(ValueError, match="share"):
             Clip((gray, Frame(np.zeros((4, 5, 3), dtype=np.uint8))))
+
+    @pytest.mark.parametrize("arr, named", [
+        (np.array([[7.0, 7.0, 7.0], [7.0, 7.0, np.nan]]), r"pixel \(x=2, y=1\) is not finite: nan"),
+        (np.array([[7.0, 7.0, 7.0], [7.0, 7.0, np.inf]]), r"pixel \(x=2, y=1\) is not finite: inf"),
+        (np.array([7.0, -np.inf]), r"pixel \(x=1, y=0\) is not finite: -inf"),
+    ], ids=["nan", "inf", "one_row"])
+    def test_from_array_non_finite_pixel_named(self, arr, named):
+        # a NaN pixel used to become 0 with only a RuntimeWarning from the cast
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            Frame.from_array(arr)
+
+    def test_from_array_complex_named(self):
+        # the imaginary part used to be dropped with only a ComplexWarning
+        with pytest.raises(ValueError, match="^frame must be an array of real numbers, "
+                                             "got dtype complex128$"):
+            Frame.from_array(np.full((3, 4), 7.0 + 1j))
+
+    def test_from_array_rounds_and_clips(self):
+        got = Frame.from_array([[-3.0, 1.5, 254.4], [255.6, 300, 2]])
+        assert got.data.dtype == np.uint8
+        assert got.data.tolist() == [[0, 2, 254], [255, 255, 2]]
+
+    @pytest.mark.parametrize("frames, named", [
+        ((1, 2), "clip frame 0 must be a Frame, got int"),
+        ((Frame(np.zeros((4, 5), dtype=np.uint8)), np.zeros((4, 5), dtype=np.uint8)),
+         "clip frame 1 must be a Frame, got ndarray"),
+    ], ids=["ints", "array"])
+    def test_clip_items_must_be_frames(self, frames, named):
+        # an array used to pass and to fail in write_clip on '.channels'
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            Clip(frames)
 
 
 def to_grayscale_oracle(frame: Frame) -> Frame:
@@ -454,6 +486,11 @@ class TestSceneSpec:
     def test_bad_value_names_field(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             simple_spec(**{field: value})
+
+    def test_object_not_a_path_named(self):
+        # a string used to fail on '.params'
+        with pytest.raises(ValueError, match="^object 1 must be an ObjectPath, got str$"):
+            SceneSpec(objects=(ObjectPath("line", {"u0": 20.0, "v0": 20.0}), "x"))
 
     @pytest.mark.parametrize("kw", [dict(focal=float("nan")), dict(baseline=float("nan")),
                                     dict(focal=0.0), dict(focal=float("inf")),
