@@ -186,6 +186,10 @@ def leave_one_actor_out(videos, k: int = 64, C: float = 1.0, epochs: int = 50,
             raise ValueError(f"clip_id {v.clip_id!r} appears under actors {first!r} and {v.actor!r}")
         shape = np.shape(v.descriptors)
         if len(shape) == 2:
+            named = f"clip_id {v.clip_id!r}"
+            arr = _real_array(f"{named} descriptors", v.descriptors, "a 2-D array")
+            # `_finite` formats the entry, so braces in the clip_id are doubled
+            _finite(arr, named.replace("{", "{{").replace("}", "}}") + " descriptor {0} entry {1}")
             width = width or (v.clip_id, shape[1])
             if shape[1] != width[1]:
                 raise ValueError(f"clip_id {v.clip_id!r} has descriptors {shape[1]} wide, but "

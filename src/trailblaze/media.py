@@ -2,15 +2,17 @@
 ground-truth-bearing synthetic stereo generator.
 
 Clips are directories of binary PGM (P5) / PPM (P6) frames named
-``frame_000000.pgm`` onwards.  The layers that read pixels convert them with
-``_gray`` (float64 grayscale in 0-255 units) and sample them with
-``_bilinear``.  Every layer checks its inputs with the shared rules here: ``_count``,
-``_finite``, ``_point``, ``_no_rows``, ``_real_array``, ``_rows``, ``_real`` and
-``_finite_real``.
-The synthetic generator renders textured square sprites moving along
-parametric paths, seen by a rectified pinhole stereo pair with horizontal
-baseline, and reports exact per-frame projections, disparities and the
-fundamental matrix.
+``frame_000000.pgm`` onwards.  A frame file holds its magic at byte 0, then
+width, height and maxval as unsigned decimals below 10**18, each after
+whitespace that may hold ``#`` comments to the end of their line, then one
+whitespace byte and the raster; sides must be >= 1 and maxval 255.  Only the
+first image is read: bytes after it are ignored.  Layers that read pixels
+convert them with ``_gray`` and sample them with ``_bilinear``; every layer
+checks its inputs with the shared rules ``_count``, ``_finite``, ``_point``,
+``_no_rows``, ``_real_array``, ``_rows``, ``_real`` and ``_finite_real``.  The
+synthetic generator renders textured square sprites moving along parametric
+paths, seen by a rectified pinhole stereo pair with horizontal baseline, and
+reports exact per-frame projections, disparities and the fundamental matrix.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -139,6 +142,8 @@ class Clip:
     clip_id: str = "clip"
 
     def __post_init__(self):
+        if not isinstance(self.frames, (tuple, list)):
+            raise ValueError(f"frames must be a tuple or list, got {type(self.frames).__name__}")
         if len(self.frames) < 2:
             raise ValueError("a clip needs at least 2 frames")
         for i, f in enumerate(self.frames):
@@ -210,67 +215,48 @@ def _bilinear(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 # PGM / PPM input-output
 
 
+# the frame file header of the module docstring: magic, width, height, maxval
+_PNM_HEADER = re.compile(rb"P([56])" + rb"(?:\s|#[^\r\n]*[\r\n])+0*(\d{1,18})" * 3 + rb"\s")
+
+
 def _read_pnm(path: Path) -> np.ndarray:
     raw = path.read_bytes()
-    # header: magic, width, height, maxval; '#' comments allowed
-    pos = 0
-    tokens = []
-    while len(tokens) < 4:
-        m = re.compile(rb"\s*(#[^\n]*\n|\S+)").match(raw, pos)
-        if m is None:
-            raise ValueError(f"malformed frame file {path.name}: truncated header")
-        pos = m.end()
-        tok = m.group(1)
-        if not tok.startswith(b"#"):
-            tokens.append(tok)
-    magic = tokens[0]
-    if magic not in (b"P5", b"P6"):
-        raise ValueError(f"malformed frame file {path.name}: unsupported magic {magic!r}")
-    try:
-        width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError:
-        raise ValueError(f"malformed frame file {path.name}: non-numeric header") from None
-    if maxval != 255:
-        raise ValueError(f"malformed frame file {path.name}: maxval must be 255")
-    channels = 1 if magic == b"P5" else 3
-    pos += 1  # single whitespace byte after maxval
-    count = width * height * channels
-    body = raw[pos:pos + count]
-    if len(body) != count:
+    m = _PNM_HEADER.match(raw)
+    if m is None:
+        raise ValueError(f"malformed frame file {path.name}: no P5 or P6 header with width, "
+                         f"height and maxval as unsigned decimals")
+    width, height, maxval = map(int, m.group(2, 3, 4))
+    if min(width, height) < 1 or maxval != 255:
+        raise ValueError(f"malformed frame file {path.name}: sides must be >= 1 and maxval "
+                         f"255, got {width}x{height} and maxval {maxval}")
+    shape = (height, width) if m[1] == b"5" else (height, width, 3)
+    count = math.prod(shape)
+    if len(raw) < m.end() + count:
         raise ValueError(f"malformed frame file {path.name}: expected {count} pixel bytes")
-    arr = np.frombuffer(body, dtype=np.uint8)
-    shape = (height, width) if channels == 1 else (height, width, 3)
-    return arr.reshape(shape).copy()
+    return np.frombuffer(raw, np.uint8, count, m.end()).reshape(shape).copy()
 
 
 def _write_pnm(path: Path, arr: np.ndarray) -> None:
-    channels = 1 if arr.ndim == 2 else arr.shape[2]
-    magic = b"P5" if channels == 1 else b"P6"
-    header = magic + b"\n%d %d\n255\n" % (arr.shape[1], arr.shape[0])
+    header = b"%s\n%d %d\n255\n" % (b"P5" if arr.ndim == 2 else b"P6", arr.shape[1], arr.shape[0])
     path.write_bytes(header + np.ascontiguousarray(arr, dtype=np.uint8).tobytes())
 
 
 def load_clip(path) -> Clip:
     """Load a clip from a directory of PGM/PPM frames in lexicographic order;
-    its clip_id is the directory's name."""
+    its clip_id is the directory's name.  Raises FileNotFoundError for a missing
+    directory, and ValueError for fewer than 2 frames or, naming the file, for a
+    malformed frame file or a frame whose size differs from the first."""
     path = Path(path)
     if not path.is_dir():
         raise FileNotFoundError(f"missing directory {path}")
     files = sorted(p for p in path.iterdir() if p.suffix in (".pgm", ".ppm"))
-    if not files:
-        raise ValueError(f"no frames in {path}")
     if len(files) < 2:
-        raise ValueError(f"fewer than 2 frames in {path}")
+        raise ValueError(f"{'fewer than 2' if files else 'no'} frames in {path}")
     arrays = [_read_pnm(p) for p in files]
-    first = arrays[0].shape
-
-    def size(shape):  # width x height, then x3 for a colour frame
-        return "x".join(map(str, (shape[1], shape[0]) + shape[2:]))
-
     for p, arr in zip(files, arrays):
-        if arr.shape != first:
-            raise ValueError(f"inconsistent dimensions in {p.name}: {size(arr.shape)} "
-                             f"vs {size(first)}")
+        if arr.shape != arrays[0].shape:  # named width x height, then x3 for colour
+            got, want = ("x".join(map(str, a.shape[1::-1] + a.shape[2:])) for a in (arr, arrays[0]))
+            raise ValueError(f"inconsistent dimensions in {p.name}: {got} vs {want}")
     return Clip(frames=tuple(Frame.from_array(arr) for arr in arrays), clip_id=path.name)
 
 
@@ -310,6 +296,8 @@ class ObjectPath:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown object path kind {self.kind!r}")
+        if not isinstance(self.params, Mapping):
+            raise ValueError(f"params must be a mapping, got {type(self.params).__name__}")
         if not self._KEYS.issuperset(self.params):
             bad = sorted(self.params.keys() - self._KEYS)
             raise ValueError(f"unknown object path parameters {bad} for kind {self.kind!r}")
@@ -376,6 +364,8 @@ class SceneSpec:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
         if not _finite_real(self.background):
             raise ValueError(f"background must be a finite number, got {self.background!r}")
+        if not isinstance(self.objects, (tuple, list)):
+            raise ValueError(f"objects must be a tuple or list, got {type(self.objects).__name__}")
         if not self.objects:
             raise ValueError("scene needs at least one object")
         _check_sprite_size("patch", self.patch)

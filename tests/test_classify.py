@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -369,6 +370,25 @@ class TestLeaveOneActorOut:
                                 np.ones((12, 3)))
         with pytest.raises(ValueError, match=r"^clip_id 'c1a0r1' has descriptors 3 wide, "
                                              r"but clip_id 'c0a0r0' has them 2 wide$"):
+            leave_one_actor_out(videos, k=2, epochs=5, seed=0)
+
+    @pytest.mark.parametrize("clip_id, bad", [("c1a1", np.nan), ("c{0}a}1", -np.inf)])
+    def test_non_finite_descriptor_names_video(self, clip_id, bad):
+        # it used to be named by its row in another actor's fold pool, from fit_gmm
+        videos = one_hot_videos(classes=2, actors=3, reps=1)
+        i = next(i for i, v in enumerate(videos) if v.clip_id == "c1a1r0")
+        desc = videos[i].descriptors.copy()
+        desc[5, 1] = bad
+        videos[i] = VideoSample(clip_id, videos[i].label, videos[i].actor, desc)
+        with pytest.raises(ValueError, match=f"^clip_id {re.escape(repr(clip_id))} descriptor 5 "
+                                             f"entry 1 is not finite: {bad}$"):
+            leave_one_actor_out(videos, k=2, epochs=5, seed=0)
+
+    def test_descriptors_not_numbers_name_video(self):
+        videos = one_hot_videos(classes=2, actors=2, reps=1)
+        videos[1] = VideoSample("odd", videos[1].label, videos[1].actor, [["a", "b"]] * 12)
+        with pytest.raises(ValueError, match="^clip_id 'odd' descriptors must be a 2-D array of "
+                                             "real numbers"):
             leave_one_actor_out(videos, k=2, epochs=5, seed=0)
 
     def test_fold_without_training_descriptors_names_actor(self):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -123,6 +124,20 @@ class TestFrame:
         # an array used to pass and to fail in write_clip on '.channels'
         with pytest.raises(ValueError, match=f"^{named}$"):
             Clip(frames)
+
+    @pytest.mark.parametrize("frames, got", [
+        (5, "int"), (None, "NoneType"), ("ab", "str"),
+        (np.zeros((2, 4, 5), dtype=np.uint8), "ndarray"),
+    ])
+    def test_clip_frames_not_a_sequence_named(self, frames, got):
+        # an int used to raise "object of type 'int' has no len()"
+        with pytest.raises(ValueError, match=f"^frames must be a tuple or list, got {got}$"):
+            Clip(frames)
+
+    def test_clip_frames_tuple_or_list(self):
+        frames = [Frame(np.full((4, 5), i, dtype=np.uint8)) for i in range(2)]
+        for given in (frames, tuple(frames)):
+            assert [f is g for f, g in zip(Clip(given).frames, frames)] == [True, True]
 
 
 def to_grayscale_oracle(frame: Frame) -> Frame:
@@ -311,6 +326,44 @@ class TestBilinear:
         assert np.array_equal(media._bilinear(img, xs.astype(float), ys.astype(float)), img)
 
 
+GREY = np.arange(6, dtype=np.uint8).reshape(2, 3)
+RASTER = GREY.tobytes()
+READER_TABLE = [pytest.param(*row[1:], id=row[0]) for row in [
+    # accepted: what _write_pnm writes (data None), then headers written by hand
+    ("written_p5", None, GREY),
+    ("written_p6", None, np.arange(18, dtype=np.uint8).reshape(2, 3, 3)),
+    ("written_1x1", None, np.full((1, 1), 200, dtype=np.uint8)),
+    ("written_48x64", None, np.random.default_rng(3).integers(0, 256, (48, 64), np.uint8)),
+    ("comment_after_magic", b"P5# made by hand\n3 2\n255\n" + RASTER, GREY),
+    ("comments_between_fields", b"P5\n# size\n3 # width\n#\n2#height\r255\n" + RASTER, GREY),
+    ("tabs_and_crlf", b"P5\t3\r\n2 \t 255\r" + RASTER, GREY),
+    ("zero_padded", b"P5 003 02 0255\n" + RASTER, GREY),
+    ("zero_padded_to_30_digits", b"P5\n" + b"0" * 29 + b"3 2\n255\n" + RASTER, GREY),
+    ("trailing_bytes_ignored", b"P5 3 2 255\n" + RASTER + b"P5 1 1 255\n\0", GREY),
+    # rejected: the message after "malformed frame file frame_000001.pgm: "
+    ("magic_p7", b"P7\n3 2\n255\n" + RASTER, "no P5 or P6 header"),
+    ("magic_p2", b"P2\n3 2\n255\n0 1 2 3 4 5\n", "no P5 or P6 header"),
+    ("non_numeric_field", b"P5\n3 x\n255\n" + RASTER, "no P5 or P6 header"),
+    ("cut_before_maxval", b"P5\n3 2\n", "no P5 or P6 header"),
+    ("comment_to_end_of_file", b"P5\n3 2 # no maxval", "no P5 or P6 header"),
+    ("no_byte_after_maxval", b"P5\n3 2\n255", "no P5 or P6 header"),
+    ("comment_before_raster", b"P5\n3 2\n255# pixels\n" + RASTER, "no P5 or P6 header"),
+    ("signed_field", b"P5\n3 +2\n255\n" + RASTER, "no P5 or P6 header"),
+    ("negative_sides", b"P5\n-3 -2\n255\n" + RASTER, "no P5 or P6 header"),
+    ("leading_whitespace", b" P5\n3 2\n255\n" + RASTER, "no P5 or P6 header"),
+    ("no_space_after_magic", b"P53 2\n255\n" + RASTER, "no P5 or P6 header"),
+    ("field_of_10_to_the_18", b"P5\n1" + b"0" * 18 + b" 2\n255\n" + RASTER,
+     "no P5 or P6 header"),
+    ("field_of_5000_digits", b"P5\n" + b"9" * 5000 + b" 2\n255\n", "no P5 or P6 header"),
+    ("maxval_65535", b"P5\n3 2\n65535\n" + RASTER * 2, "sides must be >= 1 and maxval 255, "
+                                                      "got 3x2 and maxval 65535$"),
+    ("width_0", b"P5\n0 2\n255\n", "sides must be >= 1 and maxval 255, got 0x2 and maxval 255$"),
+    ("height_0", b"P5\n3 0\n255\n", "sides must be >= 1 and maxval 255, got 3x0 and maxval 255$"),
+    ("short_raster", b"P5\n3 2\n255\n" + RASTER[:5], "expected 6 pixel bytes$"),
+    ("short_p6_raster", b"P6\n3 2\n255\n" + RASTER * 2, "expected 18 pixel bytes$"),
+]]
+
+
 class TestClipIO:
     def make_clip(self, n=3, w=64, h=48, seed=1):
         rng = np.random.default_rng(seed)
@@ -375,6 +428,26 @@ class TestClipIO:
         (d / "frame_000001.pgm").write_bytes(b"P5\n4 4\n255\nxx")
         with pytest.raises(ValueError, match="frame_000001"):
             load_clip(d)
+
+    @pytest.mark.parametrize("data, want", READER_TABLE)
+    def test_reader_table(self, tmp_path, data, want):
+        # frame_000000 is a good frame of the expected shape; frame_000001 is
+        # `data`, or `want` as _write_pnm writes it when `data` is None
+        d = tmp_path / "c"
+        d.mkdir()
+        accepted = isinstance(want, np.ndarray)
+        media._write_pnm(d / "frame_000000.pgm", want if accepted else GREY)
+        if data is None:
+            media._write_pnm(d / "frame_000001.pgm", want)
+        else:
+            (d / "frame_000001.pgm").write_bytes(data)
+        if accepted:
+            got = load_clip(d).frames[1].data
+            assert got.dtype == np.uint8 and np.array_equal(got, want)
+        else:
+            with pytest.raises(ValueError, match="^malformed frame file frame_000001.pgm: "
+                                                 + want):
+                load_clip(d)
 
     def test_ppm_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
@@ -487,6 +560,19 @@ class TestSceneSpec:
         with pytest.raises(ValueError, match=f"^{field} must be"):
             simple_spec(**{field: value})
 
+    @pytest.mark.parametrize("objects, got", [
+        (5, "int"), (None, "NoneType"), ({"a": 1}, "dict"),
+        (ObjectPath("line", {"u0": 20.0, "v0": 20.0}), "ObjectPath"),
+    ])
+    def test_objects_not_a_sequence_named(self, objects, got):
+        # an int used to raise "'int' object is not iterable"
+        with pytest.raises(ValueError, match=f"^objects must be a tuple or list, got {got}$"):
+            simple_spec(objects=objects)
+
+    def test_objects_tuple_or_list(self):
+        path = ObjectPath("line", {"u0": 20.0, "v0": 20.0})
+        assert simple_spec(objects=[path]).objects == [path]
+
     def test_object_not_a_path_named(self):
         # a string used to fail on '.params'
         with pytest.raises(ValueError, match="^object 1 must be an ObjectPath, got str$"):
@@ -596,6 +682,18 @@ class TestObjectPath:
         with pytest.raises(ValueError, match=f"^object path {key} must {rule}, "
                                              f"got {re.escape(repr(value))}$"):
             ObjectPath("vosc", {"u0": 10.0, key: value})
+
+    @pytest.mark.parametrize("params, got", [
+        (5, "int"), (None, "NoneType"), ([("u0", 1.0)], "list"), ("u0", "str"),
+    ])
+    def test_params_not_a_mapping_named(self, params, got):
+        # an int or None used to raise "... object is not iterable"
+        with pytest.raises(ValueError, match=f"^params must be a mapping, got {got}$"):
+            ObjectPath("line", params)
+
+    def test_params_any_mapping(self):
+        params = types.MappingProxyType({"u0": 1.0, "du": 2.0})
+        assert ObjectPath("line", params).center(3.0) == (7.0, 0.0, 3.0)
 
     def test_every_known_parameter_accepted_by_every_kind(self):
         # keys are not checked per kind: the trajectory corpus gives `line` paths a phase
