@@ -184,15 +184,15 @@ def leave_one_actor_out(videos, k: int = 64, C: float = 1.0, epochs: int = 50,
         first = owner.setdefault(v.clip_id, v.actor)
         if first != v.actor:
             raise ValueError(f"clip_id {v.clip_id!r} appears under actors {first!r} and {v.actor!r}")
-        shape = np.shape(v.descriptors)
-        if len(shape) == 2:
-            named = f"clip_id {v.clip_id!r}"
-            arr = _real_array(f"{named} descriptors", v.descriptors, "a 2-D array")
+        # converted before its shape is read, so a ragged set is named too
+        named = f"clip_id {v.clip_id!r}"
+        arr = _real_array(f"{named} descriptors", v.descriptors, "a 2-D array")
+        if arr.ndim == 2:
             # `_finite` formats the entry, so braces in the clip_id are doubled
             _finite(arr, named.replace("{", "{{").replace("}", "}}") + " descriptor {0} entry {1}")
-            width = width or (v.clip_id, shape[1])
-            if shape[1] != width[1]:
-                raise ValueError(f"clip_id {v.clip_id!r} has descriptors {shape[1]} wide, but "
+            width = width or (v.clip_id, arr.shape[1])
+            if arr.shape[1] != width[1]:
+                raise ValueError(f"clip_id {v.clip_id!r} has descriptors {arr.shape[1]} wide, but "
                                  f"clip_id {width[0]!r} has them {width[1]} wide")
     actors = sorted({v.actor for v in videos})
     if len(actors) < 2:

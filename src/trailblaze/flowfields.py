@@ -4,26 +4,28 @@ Both take frames or 2-D arrays in 0-255 units and divide every frame by 255,
 so all frames of a clip share one scale.  Borders replicate the edge; a
 pyramid of n levels is the full image plus up to n - 1 halvings (5x5 binomial
 antialiasing).  Lucas-Kanade solves all points together, per pyramid level
-and per iteration, each point with its own convergence test.
+and per iteration, each point with its own convergence test; whenever points
+converge, the per-point arrays of those still iterating shrink once.
 
 Farneback fits every pixel of every pyramid level a quadratic under a
 separable Gaussian applicability, in closed form: one separable filter per
-coefficient (A11, A12, A22, b1, b2).  The last two frames' expansions are
-memoised, read-only, on exact content, so the dense tracker expands each
-frame once.  Each refinement warps the second frame's coefficients with one
-stacked `_bilinear` call and solves in buffers the call allocates.
+coefficient (A11, A12, A22, b1, b2).  The expansions are memoised through
+`media._FrameMemo`: the last two frames, matched on exact shape and bytes
+with no hash, stacks read-only, so the dense tracker expands each frame once
+(the frames pass `_gray`'s pixel gate on every call).  Each refinement warps
+the second frame's coefficients with one stacked `_bilinear` call and solves
+in buffers the call allocates.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .media import _bilinear, _count, _finite, _gray, _no_rows, _point, _rows
+from .media import _bilinear, _count, _finite, _FrameMemo, _gray, _no_rows, _point, _rows
 
 BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
@@ -149,26 +151,31 @@ def lk_track(prev, next, points, levels: int = 3, window: int = 15) -> list:
             fail |= eig_min < min_eig_thresh
             weak[live[fail]] = True
         ok = ~fail
-        solve = live[ok]
+        # the points still iterating at this level, as g's rows and per-point
+        # arrays compacted whenever some of them converge
+        act = live[ok]
         sx, sy, Ix, Iy, I0 = sx[ok], sy[ok], Ix[ok], Iy[ok], I0[ok]
         i00, i01, i11 = gyy[ok] / det[ok], -gxy[ok] / det[ok], gxx[ok] / det[ok]
-        gl = g[solve]
+        gl = g[act]
         nu = np.zeros_like(gl)
-        act = np.arange(len(solve))  # points still iterating at this level
         for _ in range(LK_MAX_ITERS):
             if act.size == 0:
                 break
-            I1 = _bilinear(pyr1[lvl], sx[act] + gl[act, 0, None, None] + nu[act, 0, None, None],
-                           sy[act] + gl[act, 1, None, None] + nu[act, 1, None, None])
-            dI = I0[act] - I1
-            b0 = (dI * Ix[act]).sum(axis=(1, 2))
-            b1 = (dI * Iy[act]).sum(axis=(1, 2))
-            s0 = i00[act] * b0 + i01[act] * b1
-            s1 = i01[act] * b0 + i11[act] * b1
-            nu[act, 0] += s0
-            nu[act, 1] += s1
-            act = act[~(np.hypot(s0, s1) < LK_EPS)]  # a NaN step keeps iterating
-        g[solve] = gl + nu
+            I1 = _bilinear(pyr1[lvl], sx + gl[:, 0, None, None] + nu[:, 0, None, None],
+                           sy + gl[:, 1, None, None] + nu[:, 1, None, None])
+            dI = I0 - I1
+            b0 = (dI * Ix).sum(axis=(1, 2))
+            b1 = (dI * Iy).sum(axis=(1, 2))
+            s0 = i00 * b0 + i01 * b1
+            s1 = i01 * b0 + i11 * b1
+            nu[:, 0] += s0
+            nu[:, 1] += s1
+            going = ~(np.hypot(s0, s1) < LK_EPS)  # a NaN step keeps iterating
+            if not going.all():
+                g[act[~going]] = gl[~going] + nu[~going]
+                act, sx, sy, Ix, Iy, I0, i00, i01, i11, gl, nu = (
+                    a[going] for a in (act, sx, sy, Ix, Iy, I0, i00, i01, i11, gl, nu))
+        g[act] = gl + nu
         if lvl:
             g[live] *= 2.0  # to the finer level; a singular level added no step
 
@@ -218,24 +225,11 @@ def _poly_expand(img: np.ndarray) -> np.ndarray:
     return out
 
 
-def _expansions(img: np.ndarray) -> tuple:
-    """Read-only `_poly_expand` stacks of each pyramid level of a 0-1 frame.
-
-    Memoised on the frame's shape and bytes, so a frame changed in place is
-    expanded afresh.
-    """
-    return _expand_frame(img.shape, img.tobytes())
-
-
-# frames whose expansions are memoised: two suffice for the dense tracker's
-# order, left t-1 -> t and then left t -> right t
-@functools.lru_cache(maxsize=2)
-def _expand_frame(shape: tuple, data: bytes) -> tuple:
-    img = np.frombuffer(data).reshape(shape)
-    levels = tuple(_poly_expand(p) for p in _pyramid(img, FB_LEVELS, FB_POLY_N + 2))
-    for e in levels:
-        e.flags.writeable = False
-    return levels
+# the read-only `_poly_expand` stacks of each pyramid level of a 0-1 frame,
+# memoised for two frames: enough for the dense tracker's order, left t-1 -> t
+# and then left t -> right t
+_expansions = _FrameMemo(
+    lambda img: tuple(_poly_expand(p) for p in _pyramid(img, FB_LEVELS, FB_POLY_N + 2)))
 
 
 def _solve_flow(A11, A12, A22, b1, b2):

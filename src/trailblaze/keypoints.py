@@ -1,10 +1,17 @@
 """FAST corners, gradient-orientation patch descriptors, reciprocal matching.
 
 Images are Frames (color ones converted to grayscale) or 2-D arrays in 0-255
-units.  The segment test ANDs rotations of the ring masks, the descriptor
-histogram is one ``bincount`` over the patch, and the matcher computes its
-distances one row of ``a`` at a time and runs its ratio test on whole rows
-and columns at once.
+units.  The segment test ANDs rotations of the ring masks, and the matcher
+computes its distances one row of ``a`` at a time and runs its ratio test on
+whole rows and columns at once.
+
+A descriptor reads its window from the frame's gradient magnitude and
+orientation-bin planes, built once per frame through ``media._FrameMemo``:
+the last two frames, matched on exact shape and bytes with no hash, planes
+read-only.  A float64 2-D array is compared before ``_gray``, so a hit does
+no whole-frame work beyond that comparison; every miss runs ``_gray``'s
+pixel gate, so a NaN pixel is named even in a frame changed after an earlier
+call.  The histogram is then one ``bincount`` over the window.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .media import _count, _finite_real, _gray, _no_rows, _point, _rows
+from .media import _count, _finite_real, _FrameMemo, _gray, _no_rows, _point, _rows
 
 # 16-pixel Bresenham circle of radius 3, clockwise from the top
 CIRCLE = [(0, -3), (1, -3), (2, -2), (3, -1), (3, 0), (3, 1), (2, 2), (1, 3),
@@ -76,6 +83,25 @@ def detect_fast(gray, threshold: float = 20.0) -> list:
             for y, x in zip(ys, xs)]
 
 
+def _planes(gray) -> tuple:
+    """Gradient magnitude and 8-bin orientation planes of a frame's interior
+    pixels, after `_gray`'s pixel gate: entry (i, j) belongs to pixel
+    (x=j+1, y=i+1), from central differences."""
+    img = _gray(gray)
+    gx = (img[1:-1, 2:] - img[1:-1, :-2]) / 2.0
+    gy = (img[2:, 1:-1] - img[:-2, 1:-1]) / 2.0
+    mag = np.hypot(gx, gy)
+    ang = np.arctan2(gy, gx) % (2.0 * np.pi)
+    bins = np.minimum((ang / (np.pi / 4.0)).astype(int), 7)
+    return mag, bins
+
+
+# the planes of the last two frames described: the KLT tracker describes its
+# left and right views in turn, each frame's points and corners in runs
+_frame_planes = _FrameMemo(_planes)
+_cells = {}  # patch size -> read-only (patch, patch) histogram index of bin 0
+
+
 def describe_patch(gray, p, patch: int = 16) -> np.ndarray:
     """Simplified SIFT descriptor of the `patch` x `patch` window centered at p.
 
@@ -86,24 +112,25 @@ def describe_patch(gray, p, patch: int = 16) -> np.ndarray:
     """
     _count("patch", patch, 4, "a multiple of 4", step=4)
     x, y = _point(p)
-    img = _gray(gray)
-    h, w = img.shape
+    if not (isinstance(gray, np.ndarray) and gray.dtype == np.float64 and gray.ndim == 2):
+        gray = _gray(gray)
+    mag, bins = _frame_planes(gray)
+    h, w = gray.shape
     half = patch // 2
     x0 = int(round(x)) - half
     y0 = int(round(y)) - half
     if x0 - 1 < 0 or y0 - 1 < 0 or x0 + patch + 1 > w or y0 + patch + 1 > h:
         raise ValueError(f"descriptor window at {p} outside frame")
 
-    win = img[y0 - 1:y0 + patch + 1, x0 - 1:x0 + patch + 1]
-    gx = (win[1:-1, 2:] - win[1:-1, :-2]) / 2.0
-    gy = (win[2:, 1:-1] - win[:-2, 1:-1]) / 2.0
-    mag = np.hypot(gx, gy)
-    ang = np.arctan2(gy, gx) % (2.0 * np.pi)
-    bins = np.minimum((ang / (np.pi / 4.0)).astype(int), 7)
-
-    cell = np.arange(patch) // (patch // 4)
-    index = (cell[:, None] * 4 + cell[None, :]) * 8 + bins
-    v = np.bincount(index.ravel(), weights=mag.ravel(), minlength=DESCRIPTOR_DIM)
+    cell = _cells.get(patch)
+    if cell is None:
+        c = np.arange(patch) // (patch // 4)
+        cell = (c[:, None] * 4 + c[None, :]) * 8
+        cell.flags.writeable = False
+        _cells[patch] = cell
+    window = np.s_[y0 - 1:y0 - 1 + patch, x0 - 1:x0 - 1 + patch]
+    v = np.bincount((cell + bins[window]).ravel(), weights=mag[window].ravel(),
+                    minlength=DESCRIPTOR_DIM)
     norm = np.sqrt(v.dot(v))  # what np.linalg.norm computes, without its overhead
     if norm == 0.0:
         return v

@@ -9,7 +9,11 @@ whitespace byte and the raster; sides must be >= 1 and maxval 255.  Only the
 first image is read: bytes after it are ignored.  Layers that read pixels
 convert them with ``_gray`` and sample them with ``_bilinear``; every layer
 checks its inputs with the shared rules ``_count``, ``_finite``, ``_point``,
-``_no_rows``, ``_real_array``, ``_rows``, ``_real`` and ``_finite_real``.  The
+``_no_rows``, ``_real_array``, ``_rows``, ``_real`` and ``_finite_real``.
+Whole-frame work that several calls share is memoised with ``_FrameMemo``,
+one rule for every layer: the last two distinct frames, matched on exact
+shape and bytes with no hash, values read-only, and the build, with any
+check inside it such as the pixel gate, run on every miss.  The
 synthetic generator renders textured square sprites moving along parametric
 paths, seen by a rectified pinhole stereo pair with horizontal baseline, and
 reports exact per-frame projections, disparities and the fundamental matrix.
@@ -144,6 +148,7 @@ class Clip:
     def __post_init__(self):
         if not isinstance(self.frames, (tuple, list)):
             raise ValueError(f"frames must be a tuple or list, got {type(self.frames).__name__}")
+        object.__setattr__(self, "frames", tuple(self.frames))  # a list passed in stays outside
         if len(self.frames) < 2:
             raise ValueError("a clip needs at least 2 frames")
         for i, f in enumerate(self.frames):
@@ -173,6 +178,44 @@ def _gray(image) -> np.ndarray:
         return rgb
     y = rgb[..., 0] * GRAY_WEIGHTS[0] + rgb[..., 1] * GRAY_WEIGHTS[1] + rgb[..., 2] * GRAY_WEIGHTS[2]
     return np.clip(np.floor(y + 0.5), 0, 255)
+
+
+class _FrameMemo:
+    """The tuple of arrays `build` derives from a float64 frame, kept for the
+    last two distinct frames.
+
+    A frame matches a slot on its exact shape and bytes: ``tobytes()`` and an
+    equality test, no hash, so a frame changed in place misses and is built
+    afresh.  Only a miss calls `build`, so a check inside it, such as
+    `_gray`'s pixel gate, runs on every miss and is skipped on a hit, whose
+    equal bytes passed it before.  The arrays are held read-only and
+    handed to every caller as they are.  ``slots`` is one immutable tuple,
+    most recently used first, replaced whole, so a thread sees either the old
+    pair or the new pair and never a mix.
+    """
+
+    SLOTS = 2
+
+    def __init__(self, build):
+        self.build = build
+        self.slots = ()  # ((shape, bytes, value), ...)
+
+    def __call__(self, img: np.ndarray):
+        slots = self.slots
+        data = img.tobytes()
+        for i, (shape, held, value) in enumerate(slots):
+            if shape == img.shape and held == data:
+                if i:
+                    self.slots = (slots[i],) + slots[:i] + slots[i + 1:]
+                return value
+        value = self.build(img)
+        for arr in value:
+            arr.flags.writeable = False
+        self.slots = ((img.shape, data, value),) + slots[:self.SLOTS - 1]
+        return value
+
+    def clear(self) -> None:
+        self.slots = ()
 
 
 def _bilinear(img: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -366,6 +409,7 @@ class SceneSpec:
             raise ValueError(f"background must be a finite number, got {self.background!r}")
         if not isinstance(self.objects, (tuple, list)):
             raise ValueError(f"objects must be a tuple or list, got {type(self.objects).__name__}")
+        object.__setattr__(self, "objects", tuple(self.objects))  # a list passed in stays outside
         if not self.objects:
             raise ValueError("scene needs at least one object")
         _check_sprite_size("patch", self.patch)

@@ -391,6 +391,14 @@ class TestLeaveOneActorOut:
                                              "real numbers"):
             leave_one_actor_out(videos, k=2, epochs=5, seed=0)
 
+    def test_ragged_descriptors_name_video(self):
+        # numpy's "inhomogeneous shape" error used to come from np.shape, naming no clip
+        videos = one_hot_videos(classes=2, actors=2, reps=1)
+        videos[1] = VideoSample("ragged", videos[1].label, videos[1].actor, [[1.0, 2.0], [3.0]])
+        with pytest.raises(ValueError, match="^clip_id 'ragged' descriptors must be a 2-D array "
+                                             "of real numbers: .*inhomogeneous"):
+            leave_one_actor_out(videos, k=2, epochs=5, seed=0)
+
     def test_fold_without_training_descriptors_names_actor(self):
         videos = [VideoSample(v.clip_id, v.label, v.actor,
                               v.descriptors[:0] if v.actor == "actor0" else v.descriptors)

@@ -10,11 +10,13 @@ from bench import corpus
 from trailblaze import flowfields
 from trailblaze.flowfields import (
     FB_ITERATIONS, FB_LEVELS, FB_POLY_N, FB_POLY_SIGMA, FB_WINDOW, LK_EPS, LK_MAX_ITERS,
-    LK_MIN_EIG_FACTOR, FlowField, TrackResult, _gradients, _pyramid, farneback_flow, lk_track,
-    sample_flow,
+    LK_MIN_EIG_FACTOR, FlowField, TrackResult, _gradients, _pyramid, _unit_pair, farneback_flow,
+    lk_track, sample_flow,
 )
 from trailblaze.keypoints import detect_fast
-from trailblaze.media import ObjectPath, SceneSpec, _bilinear, _gray, synth_stereo
+from trailblaze.media import (
+    ObjectPath, SceneSpec, _bilinear, _count, _gray, _no_rows, _rows, synth_stereo,
+)
 
 
 def smooth_texture(seed, shape=(96, 128), blur=1.5):
@@ -121,6 +123,86 @@ def lk_track_oracle(prev, next, points, levels: int = 3, window: int = 15) -> li
         else:
             results.append(TrackResult((qx, qy), None))
     return results
+
+
+def lk_track_parent(prev, next, points, levels: int = 3, window: int = 15) -> list:
+    """lk_track as it was before it compacted the points still iterating,
+    verbatim: every per-point array gathered through `act` on every iteration."""
+    img0, img1 = _unit_pair(prev, next)
+    _count("levels", levels)
+    _count("window", window, 5, "an odd integer", step=2)
+    if _no_rows(points) and np.ndim(points) == 1:  # [], while (0, 2) yields [] below
+        return []
+    pts = _rows("points", points, "point {0}", 2)
+    half = window // 2
+    h, w = img0.shape
+
+    def inside(p):
+        return ((half + 1 <= p[:, 0]) & (p[:, 0] <= w - 2 - half)
+                & (half + 1 <= p[:, 1]) & (p[:, 1] <= h - 2 - half))
+
+    started = inside(pts)
+    if not started.any():
+        return [TrackResult((x, y), "outside") for x, y in pts.tolist()]
+
+    pyr0 = _pyramid(img0, levels, window + 2)
+    pyr1 = _pyramid(img1, levels, window + 2)
+    off = np.arange(-half, half + 1, dtype=np.float64)
+    oy, ox = np.meshgrid(off, off, indexing="ij")
+    min_eig_thresh = LK_MIN_EIG_FACTOR * window * window
+    weak = np.zeros(len(pts), dtype=bool)
+    g = np.zeros_like(pts)
+    live = np.flatnonzero(started)
+    for lvl in range(len(pyr0) - 1, -1, -1):
+        scale = 2.0 ** lvl
+        sx = (pts[live, 0] / scale)[:, None, None] + ox
+        sy = (pts[live, 1] / scale)[:, None, None] + oy
+        Ix, Iy, I0 = _bilinear(np.stack(_gradients(pyr0[lvl]) + (pyr0[lvl],)), sx, sy)
+        gxx = (Ix * Ix).sum(axis=(1, 2))
+        gxy = (Ix * Iy).sum(axis=(1, 2))
+        gyy = (Iy * Iy).sum(axis=(1, 2))
+        det = gxx * gyy - gxy * gxy
+        fail = det <= 1e-12
+        if lvl == 0:
+            # closed-form smaller eigenvalue of the symmetric 2x2 G
+            eig_min = 0.5 * (gxx + gyy) - np.hypot(0.5 * (gxx - gyy), gxy)
+            fail |= eig_min < min_eig_thresh
+            weak[live[fail]] = True
+        ok = ~fail
+        solve = live[ok]
+        sx, sy, Ix, Iy, I0 = sx[ok], sy[ok], Ix[ok], Iy[ok], I0[ok]
+        i00, i01, i11 = gyy[ok] / det[ok], -gxy[ok] / det[ok], gxx[ok] / det[ok]
+        gl = g[solve]
+        nu = np.zeros_like(gl)
+        act = np.arange(len(solve))  # points still iterating at this level
+        for _ in range(LK_MAX_ITERS):
+            if act.size == 0:
+                break
+            I1 = _bilinear(pyr1[lvl], sx[act] + gl[act, 0, None, None] + nu[act, 0, None, None],
+                           sy[act] + gl[act, 1, None, None] + nu[act, 1, None, None])
+            dI = I0[act] - I1
+            b0 = (dI * Ix[act]).sum(axis=(1, 2))
+            b1 = (dI * Iy[act]).sum(axis=(1, 2))
+            s0 = i00[act] * b0 + i01[act] * b1
+            s1 = i01[act] * b0 + i11[act] * b1
+            nu[act, 0] += s0
+            nu[act, 1] += s1
+            act = act[~(np.hypot(s0, s1) < LK_EPS)]  # a NaN step keeps iterating
+        g[solve] = gl + nu
+        if lvl:
+            g[live] *= 2.0  # to the finer level; a singular level added no step
+
+    moved = np.where(weak[:, None], pts, pts + g)
+    tracked = started & ~weak & inside(moved)
+    reasons = [None if t else ("weak_gradient" if k else "outside")
+               for t, k in zip(tracked.tolist(), weak.tolist())]
+    return [TrackResult((x, y), r) for (x, y), r in zip(moved.tolist(), reasons)]
+
+
+def same_tracks(a: list, b: list) -> bool:
+    """Equal reasons and bitwise equal points."""
+    return ([r.reason for r in a] == [r.reason for r in b]
+            and np.array([r.point for r in a]).tobytes() == np.array([r.point for r in b]).tobytes())
 
 
 # The Farneback path as it was before stacked sampling, the expansion memo and
@@ -264,9 +346,9 @@ def stereo_frames():
 @pytest.fixture
 def cold_memo():
     """An empty expansion memo before and after the test."""
-    flowfields._expand_frame.cache_clear()
-    yield flowfields._expand_frame
-    flowfields._expand_frame.cache_clear()
+    flowfields._expansions.clear()
+    yield flowfields._expansions
+    flowfields._expansions.clear()
 
 
 class TestGradients:
@@ -299,6 +381,7 @@ class TestLkTrackOracle:
             rng.uniform([64, 50], [72, 54], (3, 2)),                # in the flat corner
         ])
         got = lk_track(img, moved, pts, levels=levels, window=window)
+        assert same_tracks(got, lk_track_parent(img, moved, pts, levels=levels, window=window))
         want = lk_track_oracle(img, moved, pts, levels=levels, window=window)
         assert [r.reason for r in got] == [r.reason for r in want]
         assert np.abs(np.array([r.point for r in got])
@@ -320,6 +403,7 @@ class TestLkTrackOracle:
         monkeypatch.setitem(globals(), "_gradients", flat_level_1)
         pts = interior_corners(img, 24)[:10]
         got = lk_track(img, moved, pts, levels=3, window=9)
+        assert same_tracks(got, lk_track_parent(img, moved, pts, levels=3, window=9))
         want = lk_track_oracle(img, moved, pts, levels=3, window=9)
         assert [r.status for r in got] == [r.status for r in want]
         assert "tracked" in [r.status for r in got]
@@ -546,7 +630,7 @@ class TestFarnebackOracle:
         img = ndimage.gaussian_filter(rng.uniform(10.0, 230.0, (h, w)), blur)
         moved = warp_by(img, dx, dy) + rng.normal(0.0, 1.0, (h, w))
         if not warm:
-            flowfields._expand_frame.cache_clear()
+            flowfields._expansions.clear()
         got = farneback_flow(img, moved)
         assert close_field(got, farneback_flow_oracle(img, moved))
         assert same_field(farneback_flow(img, moved), got)  # both frames memoised
@@ -556,7 +640,7 @@ class TestFarnebackOracle:
         # the dense tracker's two calls per frame: left t-1 -> t, left t -> right t
         prev, now, right = stereo_frames()
         assert len(flowfields._expansions(now / 255.0)) == FB_LEVELS == 3
-        cold_memo.cache_clear()
+        cold_memo.clear()
         for a, b in [(prev, now), (now, right)]:
             got = farneback_flow(a, b)
             assert close_field(got, farneback_flow_oracle(a, b))
@@ -595,7 +679,7 @@ class TestNoWrites:
         farneback_flow(now, right)                          # one warm, one cold
         assert digest([prev, now, right]) == inputs
         assert digest(prev_levels + now_levels) == held
-        assert cold_memo.cache_info().currsize == 2         # now and right
+        assert len(cold_memo.slots) == 2         # now and right
         assert flowfields._expansions(now / 255.0) is now_levels
 
     def test_solve_flow_leaves_its_arguments_unchanged(self):
@@ -618,7 +702,7 @@ class TestExpansionMemo:
         before = farneback_flow(a, b)
         a[20:24, 20:24] += 30.0
         after = farneback_flow(a, b)
-        cold_memo.cache_clear()
+        cold_memo.clear()
         assert same_field(after, farneback_flow(a, b))
         assert close_field(after, farneback_flow_oracle(a, b))
         assert not same_field(after, before)
@@ -634,9 +718,9 @@ class TestExpansionMemo:
         for t in range(1, 5):
             if t > 1:
                 farneback_flow(left[t - 1], left[t])
-                assert cold_memo.cache_info().currsize <= cold_memo.cache_info().maxsize == 2
+                assert len(cold_memo.slots) <= cold_memo.SLOTS == 2
             farneback_flow(left[t], right[t])
-            assert cold_memo.cache_info().currsize <= 2
+            assert len(cold_memo.slots) <= 2
         # every frame after the first is expanded once: left 1-4 and right 1-4
         assert len(expanded) == 8
 
@@ -651,14 +735,14 @@ class TestExpansionMemo:
             assert close_field(got, farneback_flow_oracle(prev, nxt))
             key = (prev.shape, prev.tobytes(), nxt.tobytes())
             assert same_field(got, seen.setdefault(key, got))  # a repeat gives the first result
-            assert cold_memo.cache_info().currsize <= 2
+            assert len(cold_memo.slots) <= 2
 
     def test_memoised_expansions_are_read_only(self, cold_memo):
         img = smooth_texture(34, (24, 30))
         farneback_flow(img, img)
-        assert cold_memo.cache_info().currsize == 1
+        assert len(cold_memo.slots) == 1
         levels = flowfields._expansions(img / 255.0)
-        assert cold_memo.cache_info().currsize == 1
+        assert len(cold_memo.slots) == 1
         for stack in levels:
             with pytest.raises(ValueError, match="read-only"):
                 stack[0, 0, 0] = 1.0

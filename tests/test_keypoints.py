@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,9 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from trailblaze import keypoints
-from trailblaze.keypoints import CIRCLE, Corner, describe_patch, detect_fast, match_reciprocal
-from trailblaze.media import Frame, _gray
+from bench import corpus, glue
+from trailblaze import keypoints, media, roi
+from trailblaze.keypoints import (
+    CIRCLE, DESCRIPTOR_DIM, Corner, describe_patch, detect_fast, match_reciprocal,
+)
+from trailblaze.media import Frame, _count, _gray, _point
 
 
 def segment_test_oracle(img, x, y, threshold):
@@ -197,6 +202,62 @@ def describe_patch_oracle(gray, p, patch: int = 16) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def describe_patch_parent(gray, p, patch: int = 16) -> np.ndarray:
+    """describe_patch as it was before its planes were memoised per frame,
+    verbatim: the window's gradients and bins, and the pixel gate over the
+    whole frame, on every call."""
+    _count("patch", patch, 4, "a multiple of 4", step=4)
+    x, y = _point(p)
+    img = _gray(gray)
+    h, w = img.shape
+    half = patch // 2
+    x0 = int(round(x)) - half
+    y0 = int(round(y)) - half
+    if x0 - 1 < 0 or y0 - 1 < 0 or x0 + patch + 1 > w or y0 + patch + 1 > h:
+        raise ValueError(f"descriptor window at {p} outside frame")
+
+    win = img[y0 - 1:y0 + patch + 1, x0 - 1:x0 + patch + 1]
+    gx = (win[1:-1, 2:] - win[1:-1, :-2]) / 2.0
+    gy = (win[2:, 1:-1] - win[:-2, 1:-1]) / 2.0
+    mag = np.hypot(gx, gy)
+    ang = np.arctan2(gy, gx) % (2.0 * np.pi)
+    bins = np.minimum((ang / (np.pi / 4.0)).astype(int), 7)
+
+    cell = np.arange(patch) // (patch // 4)
+    index = (cell[:, None] * 4 + cell[None, :]) * 8 + bins
+    v = np.bincount(index.ravel(), weights=mag.ravel(), minlength=DESCRIPTOR_DIM)
+    norm = np.sqrt(v.dot(v))  # what np.linalg.norm computes, without its overhead
+    if norm == 0.0:
+        return v
+    v = np.minimum(v / norm, 0.2)
+    return v / np.sqrt(v.dot(v))
+
+
+def same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.fixture
+def cold_planes():
+    """An empty plane memo before and after the test."""
+    keypoints._frame_planes.clear()
+    yield keypoints._frame_planes
+    keypoints._frame_planes.clear()
+
+
+@pytest.fixture(scope="module")
+def corpus_views():
+    """(left, right) float frames of stereo_corpus seeds 1 and 3, one frame per
+    video, the frame index running through the clip."""
+    views = []
+    for seed in (1, 3):
+        for i, video in enumerate(corpus.stereo_corpus(seed)):
+            left, right, _ = media.synth_stereo(video.spec)
+            t = i % corpus.FRAMES
+            views.append(tuple(c.frames[t].data.astype(np.float64) for c in (left, right)))
+    return views
+
+
 class TestDescribePatch:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([4, 8, 12, 16, 20]),
@@ -282,6 +343,158 @@ class TestDescribePatch:
         img = np.zeros((32, 32))
         with pytest.raises(ValueError, match="outside"):
             describe_patch(img, (4, 16))
+
+
+class TestDescribePatchMemo:
+    """describe_patch against its verbatim parent, and the per-frame plane memo."""
+
+    def test_matches_parent_bitwise_on_corpus_views(self, corpus_views, cold_planes):
+        # every window centre the frame allows on a 5 px grid plus the four
+        # limits, at subpixel offsets; the views alternate as the tracker calls them
+        h, w = corpus_views[0][0].shape
+        half = 8
+        xs = np.unique(np.r_[half + 1:w - half:5, w - half - 1])
+        ys = np.unique(np.r_[half + 1:h - half:5, h - half - 1])
+        offsets = [(0.0, 0.0), (0.49, -0.3), (-0.49, 0.49)]
+        windows = 0
+        for left, right in corpus_views:
+            for k, (y, x) in enumerate((y, x) for y in ys for x in xs):
+                dx, dy = offsets[k % 3]
+                p = (x + dx, y + dy)
+                for img in (left, right):
+                    assert same_bytes(describe_patch(img, p), describe_patch_parent(img, p))
+                    windows += 1
+            for p in [(half - 0.6, 30.0), (w - half - 0.4, 30.0), (30.0, half), (30.0, h - half)]:
+                for fn in (describe_patch, describe_patch_parent):
+                    with pytest.raises(ValueError, match="outside frame"):
+                        fn(left, p)
+        assert windows > 7000
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 24), st.integers(0, 24),
+           st.sampled_from([4, 8, 12, 16]), st.sampled_from(["noise", "levels", "flat"]))
+    def test_matches_parent_bitwise_on_random_images(self, seed, dh, dw, patch, texture):
+        rng = np.random.default_rng(seed)
+        h, w = patch + 2 + dh, patch + 2 + dw  # the smallest frames fit one window
+        imgs = [{"noise": lambda: rng.uniform(0, 255, (h, w)),
+                 "levels": lambda: rng.integers(0, 4, (h, w)) * 60.0,
+                 "flat": lambda: np.full((h, w), 90.0)}[texture]() for _ in range(3)]
+        half = patch // 2
+        for _ in range(12):  # three frames in turn: each call may evict a memoised one
+            img = imgs[rng.integers(3)]
+            p = (rng.uniform(half + 1, w - half - 1), rng.uniform(half + 1, h - half - 1))
+            assert same_bytes(describe_patch(img, p, patch=patch),
+                              describe_patch_parent(img, p, patch=patch))
+
+    def test_frame_changed_in_place_gives_cold_result(self, cold_planes):
+        img = np.random.default_rng(40).uniform(0, 255, (40, 48))
+        before = describe_patch(img, (20, 20))
+        img[18:22, 18:22] += 30.0
+        after = describe_patch(img, (20, 20))
+        cold_planes.clear()
+        assert same_bytes(after, describe_patch(img, (20, 20)))
+        assert same_bytes(after, describe_patch_parent(img, (20, 20)))
+        assert not same_bytes(after, before)
+
+    def test_alternating_views_build_each_frame_once(self, cold_planes, monkeypatch):
+        # the KLT tracker's order: each step describes left points and right
+        # corners region by region, so its two views alternate
+        built = []
+        build = cold_planes.build
+        monkeypatch.setattr(cold_planes, "build", lambda img: built.append(img) or build(img))
+        rng = np.random.default_rng(41)
+        left = [rng.uniform(0, 255, (36, 44)) for _ in range(4)]
+        right = [np.roll(im, -3, axis=1) for im in left]
+        for t in range(4):
+            for _ in range(3):
+                for img in (left[t], right[t]):
+                    for p in [(12, 12), (20.4, 17.6), (30, 22)]:
+                        assert same_bytes(describe_patch(img, p), describe_patch_parent(img, p))
+                    assert len(cold_planes.slots) <= cold_planes.SLOTS == 2
+        assert [id(img) for img in built] == [id(im) for pair in zip(left, right) for im in pair]
+
+    def test_planes_are_read_only(self, cold_planes):
+        img = np.random.default_rng(42).uniform(0, 255, (30, 34))
+        describe_patch(img, (15, 15))
+        assert len(cold_planes.slots) == 1
+        planes = cold_planes(img)
+        assert len(cold_planes.slots) == 1
+        assert [plane.shape for plane in planes] == [(28, 32), (28, 32)]
+        for plane in planes:
+            with pytest.raises(ValueError, match="read-only"):
+                plane[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            keypoints._cells[16][0, 0] = 1
+
+    def test_non_finite_pixel_named_fresh_and_after_mutation(self, cold_planes):
+        img = np.random.default_rng(43).uniform(0, 255, (40, 40))
+        fresh = img.copy()
+        fresh[3, 30] = np.nan
+        with pytest.raises(ValueError, match=r"pixel \(x=30, y=3\) is not finite: nan"):
+            describe_patch(fresh, (20, 20))
+        describe_patch(img, (20, 20))   # memoised clean
+        img[25, 18] = -np.inf
+        with pytest.raises(ValueError, match=r"pixel \(x=18, y=25\) is not finite: -inf"):
+            describe_patch(img, (20, 20))
+        assert len(cold_planes.slots) == 1
+
+    def test_threads_never_read_another_frames_planes(self, cold_planes):
+        # three frames through two slots from four threads, switching often:
+        # a slot read half-replaced would describe the wrong frame
+        rng = np.random.default_rng(45)
+        frames = [rng.uniform(0, 255, (30, 34)) for _ in range(3)]
+        points = [(12, 12), (20.4, 17.6)]
+        want = {(f, p): describe_patch_parent(frames[f], p) for f in range(3) for p in points}
+        wrong, finished = [], []
+
+        def work(seed):
+            r = np.random.default_rng(seed)
+            for _ in range(300):
+                f, p = int(r.integers(3)), points[int(r.integers(2))]
+                if not same_bytes(describe_patch(frames[f], p), want[f, p]):
+                    wrong.append((f, p))
+            finished.append(seed)
+
+        threads = [threading.Thread(target=work, args=(s,)) for s in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and sorted(finished) == [0, 1, 2, 3]
+        assert wrong == [] and len(cold_planes.slots) <= 2
+
+    @pytest.mark.parametrize("shape", [(32, 40), (32, 40, 3)], ids=["grey", "rgb"])
+    def test_frame_input_matches_its_float_array(self, shape, cold_planes):
+        frame = Frame(np.random.default_rng(44).integers(0, 256, shape).astype(np.uint8))
+        gray = _gray(frame)
+        for p in [(20, 16), (10.6, 9.5), (30, 22)]:
+            for first, second in [(frame, gray), (gray, frame)]:
+                a, b = describe_patch(first, p), describe_patch(second, p)
+                assert same_bytes(a, b) and same_bytes(a, describe_patch_parent(frame, p))
+
+
+class TestTrackerCallPattern:
+    def test_sparse_tracker_builds_each_view_once_per_step(self, tmp_path, monkeypatch,
+                                                           cold_planes):
+        # a memo key that missed on every call would still give equal
+        # descriptors; only the build count shows it
+        video = corpus.stereo_corpus(1)[0]
+        truth = corpus.render_stereo([video], tmp_path)
+        events = []
+        build, update = cold_planes.build, roi.update_and_subtract
+        monkeypatch.setattr(cold_planes, "build", lambda img: events.append("build") or build(img))
+        monkeypatch.setattr(roi, "update_and_subtract",  # called once per step
+                            lambda *a: events.append("step") or update(*a))
+        result = glue.track_sparse(tmp_path / video.clip_id, video.clip_id,
+                                   truth[video.clip_id].F)
+        per_step = [s.count("build") for s in " ".join(events).split("step")[1:]]
+        assert len(per_step) == len(result.step_ms) + 1  # frame 1 and the timed steps
+        assert max(per_step) <= 2 and sum(per_step) >= len(per_step)
 
 
 def brute_force_pairs(a, b, ratio):

@@ -139,6 +139,15 @@ class TestFrame:
         for given in (frames, tuple(frames)):
             assert [f is g for f, g in zip(Clip(given).frames, frames)] == [True, True]
 
+    def test_clip_frames_stored_as_a_tuple(self):
+        # a list used to be kept as given: .frames.append(5) made a 3-frame clip
+        frames = [Frame(np.full((4, 5), i, dtype=np.uint8)) for i in range(2)]
+        clip = Clip(frames)
+        frames.append(5)
+        assert type(clip.frames) is tuple and len(clip.frames) == 2
+        with pytest.raises(AttributeError):
+            clip.frames.append(5)
+
 
 def to_grayscale_oracle(frame: Frame) -> Frame:
     """The uint8 Frame converter that _gray went through before it did the work itself."""
@@ -571,7 +580,15 @@ class TestSceneSpec:
 
     def test_objects_tuple_or_list(self):
         path = ObjectPath("line", {"u0": 20.0, "v0": 20.0})
-        assert simple_spec(objects=[path]).objects == [path]
+        assert simple_spec(objects=[path]).objects == (path,)
+
+    def test_objects_stored_as_a_tuple(self):
+        # a list used to be kept as given, so it could change after the checks
+        path = ObjectPath("line", {"u0": 20.0, "v0": 20.0})
+        given = [path]
+        spec = simple_spec(objects=given)
+        given.append(5)
+        assert type(spec.objects) is tuple and spec.objects == (path,)
 
     def test_object_not_a_path_named(self):
         # a string used to fail on '.params'
