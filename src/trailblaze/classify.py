@@ -84,6 +84,13 @@ def derive_seed(seed: int, tag: str) -> int:
     return zlib.crc32(f"{seed}:{tag}".encode()) & 0xFFFFFFFF
 
 
+def _train_args(C, epochs, seed) -> None:
+    if not (_real(C) and C > 0):
+        raise ValueError(f"C must be > 0, got {C!r}")
+    _count("epochs", epochs)
+    _count("seed", seed, 0)
+
+
 def train(examples, C: float = 1.0, epochs: int = 50, seed: int = 0) -> SvmModel:
     """Averaged Pegasos on the one-vs-rest hinge loss, run on the Gram matrix.
 
@@ -101,10 +108,7 @@ def train(examples, C: float = 1.0, epochs: int = 50, seed: int = 0) -> SvmModel
     and the biases are those of the per-step loop; no step touches a D-long
     array.
     """
-    if not (_real(C) and C > 0):
-        raise ValueError(f"C must be > 0, got {C!r}")
-    _count("epochs", epochs)
-    _count("seed", seed, 0)
+    _train_args(C, epochs, seed)
     examples = list(examples)
     labels = tuple(sorted({e.label for e in examples}))
     if len(labels) < 2:
@@ -174,9 +178,11 @@ def leave_one_actor_out(videos, k: int = 64, C: float = 1.0, epochs: int = 50,
                         seed: int = 0, max_iters: int = 100) -> ConfusionMatrix:
     """One fold per actor: the fold's videos are tested against a codebook
     and SVM fit on the remaining actors only; fold confusion matrices are
-    summed into the blended matrix."""
-    _count("seed", seed, 0)
+    summed into the blended matrix.  Every argument and descriptor set is
+    checked before the first fold is fit."""
+    _train_args(C, epochs, seed)
     _count("k", k)
+    _count("max_iters", max_iters)
     videos = list(videos)
     owner = {}
     width = None  # (clip_id, N) of the first video with a 2-D descriptor set
@@ -187,6 +193,8 @@ def leave_one_actor_out(videos, k: int = 64, C: float = 1.0, epochs: int = 50,
         # converted before its shape is read, so a ragged set is named too
         named = f"clip_id {v.clip_id!r}"
         arr = _real_array(f"{named} descriptors", v.descriptors, "a 2-D array")
+        if arr.size and arr.ndim != 2:  # an empty set, (0,) or (0, N), encodes to zeros
+            raise ValueError(f"{named} descriptors must be a 2-D array, got shape {arr.shape}")
         if arr.ndim == 2:
             # `_finite` formats the entry, so braces in the clip_id are doubled
             _finite(arr, named.replace("{", "{{").replace("}", "}}") + " descriptor {0} entry {1}")

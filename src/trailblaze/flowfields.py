@@ -3,18 +3,17 @@
 Both take frames or 2-D arrays in 0-255 units and divide every frame by 255,
 so all frames of a clip share one scale.  Borders replicate the edge; a
 pyramid of n levels is the full image plus up to n - 1 halvings (5x5 binomial
-antialiasing).  Lucas-Kanade solves all points together, per pyramid level
-and per iteration, each point with its own convergence test; whenever points
-converge, the per-point arrays of those still iterating shrink once.
+antialiasing), built once per frame through `media._FrameMemo` (its rule is
+in the `media` docstring).  Lucas-Kanade solves all points together, per
+pyramid level and per iteration, each point with its own convergence test;
+whenever points converge, the per-point arrays of those still iterating
+shrink once.
 
 Farneback fits every pixel of every pyramid level a quadratic under a
 separable Gaussian applicability, in closed form: one separable filter per
-coefficient (A11, A12, A22, b1, b2).  The expansions are memoised through
-`media._FrameMemo`: the last two frames, matched on exact shape and bytes
-with no hash, stacks read-only, so the dense tracker expands each frame once
-(the frames pass `_gray`'s pixel gate on every call).  Each refinement warps
-the second frame's coefficients with one stacked `_bilinear` call and solves
-in buffers the call allocates.
+coefficient (A11, A12, A22, b1, b2), memoised per frame like the pyramids.
+Each refinement warps the second frame's coefficients with one stacked
+`_bilinear` call and solves in buffers the call allocates.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .media import _bilinear, _count, _finite, _FrameMemo, _gray, _no_rows, _point, _rows
+from .media import _bilinear, _count, _finite, _FrameMemo, _no_rows, _point, _rows
 
 BINOMIAL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
 
@@ -90,13 +89,14 @@ def _gradients(img: np.ndarray) -> tuple:
     return tuple(np.gradient(img)[::-1])
 
 
-def _unit_pair(prev, next) -> tuple:
-    """Both frames as float64 grayscale in 0-1 units; they must share dimensions."""
-    img0 = _gray(prev) / 255.0
-    img1 = _gray(next) / 255.0
-    if img0.shape != img1.shape:
-        raise ValueError(f"frames must share dimensions, got {img0.shape} and {img1.shape}")
-    return img0, img1
+def _same_shape(a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape[-2:] != b.shape[-2:]:
+        raise ValueError(f"frames must share dimensions, got {a.shape[-2:]} and {b.shape[-2:]}")
+
+
+# each frame's 0-1 pyramid down to the smallest side any window accepts, 5 + 2
+# (sides halve, so min(shape) levels is no cap); `lk_track` takes a prefix
+_pyramids = _FrameMemo(lambda img: tuple(_pyramid(img / 255.0, min(img.shape), 7)))
 
 
 def lk_track(prev, next, points, levels: int = 3, window: int = 15) -> list:
@@ -108,16 +108,17 @@ def lk_track(prev, next, points, levels: int = 3, window: int = 15) -> list:
     its window leaves the frame at the start or at the end, and with reason
     "weak_gradient", at its start, when its finest-level gradient matrix is
     too weak (smaller eigenvalue below 1e-4 * window^2).  When no window
-    fits in the frame at the start, no pyramid is built.
+    fits in the frame at the start, no gradient is taken.
     """
-    img0, img1 = _unit_pair(prev, next)
+    pyr0, pyr1 = _pyramids(prev), _pyramids(next)
+    _same_shape(pyr0[0], pyr1[0])
     _count("levels", levels)
     _count("window", window, 5, "an odd integer", step=2)
     if _no_rows(points) and np.ndim(points) == 1:  # [], while (0, 2) yields [] below
         return []
     pts = _rows("points", points, "point {0}", 2)
     half = window // 2
-    h, w = img0.shape
+    h, w = pyr0[0].shape
 
     def inside(p):
         return ((half + 1 <= p[:, 0]) & (p[:, 0] <= w - 2 - half)
@@ -127,15 +128,15 @@ def lk_track(prev, next, points, levels: int = 3, window: int = 15) -> list:
     if not started.any():
         return [TrackResult((x, y), "outside") for x, y in pts.tolist()]
 
-    pyr0 = _pyramid(img0, levels, window + 2)
-    pyr1 = _pyramid(img1, levels, window + 2)
+    # the levels `_pyramid(img, levels, window + 2)` keeps: sides only shrink
+    top = 1 + sum(min(p.shape) >= window + 2 for p in pyr0[1:levels])
     off = np.arange(-half, half + 1, dtype=np.float64)
     oy, ox = np.meshgrid(off, off, indexing="ij")
     min_eig_thresh = LK_MIN_EIG_FACTOR * window * window
     weak = np.zeros(len(pts), dtype=bool)
     g = np.zeros_like(pts)
     live = np.flatnonzero(started)
-    for lvl in range(len(pyr0) - 1, -1, -1):
+    for lvl in range(top - 1, -1, -1):
         scale = 2.0 ** lvl
         sx = (pts[live, 0] / scale)[:, None, None] + ox
         sy = (pts[live, 1] / scale)[:, None, None] + oy
@@ -225,11 +226,11 @@ def _poly_expand(img: np.ndarray) -> np.ndarray:
     return out
 
 
-# the read-only `_poly_expand` stacks of each pyramid level of a 0-1 frame,
+# the `_poly_expand` stacks of each pyramid level of a frame in 0-1 units,
 # memoised for two frames: enough for the dense tracker's order, left t-1 -> t
 # and then left t -> right t
 _expansions = _FrameMemo(
-    lambda img: tuple(_poly_expand(p) for p in _pyramid(img, FB_LEVELS, FB_POLY_N + 2)))
+    lambda img: tuple(_poly_expand(p) for p in _pyramid(img / 255.0, FB_LEVELS, FB_POLY_N + 2)))
 
 
 def _solve_flow(A11, A12, A22, b1, b2):
@@ -273,11 +274,9 @@ def farneback_flow(prev, next) -> FlowField:
     solves the window-averaged expansion-difference equations and is refined
     FB_ITERATIONS times per level, coarse to fine.
     """
-    img0, img1 = _unit_pair(prev, next)
-    exp0 = _expansions(img0)
-    exp1 = _expansions(img1)
-    u = np.zeros(exp0[-1].shape[1:])
-    v = np.zeros(exp0[-1].shape[1:])
+    exp0, exp1 = _expansions(prev), _expansions(next)
+    _same_shape(exp0[0], exp1[0])
+    u = v = np.zeros(exp0[-1].shape[1:])  # read only: every update rebinds u and v
 
     for lvl in range(len(exp0) - 1, -1, -1):
         h, w = exp0[lvl].shape[1:]

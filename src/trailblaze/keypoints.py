@@ -6,17 +6,15 @@ computes its distances one row of ``a`` at a time and runs its ratio test on
 whole rows and columns at once.
 
 A descriptor reads its window from the frame's gradient magnitude and
-orientation-bin planes, built once per frame through ``media._FrameMemo``:
-the last two frames, matched on exact shape and bytes with no hash, planes
-read-only.  A float64 2-D array is compared before ``_gray``, so a hit does
-no whole-frame work beyond that comparison; every miss runs ``_gray``'s
-pixel gate, so a NaN pixel is named even in a frame changed after an earlier
-call.  The histogram is then one ``bincount`` over the window.
+orientation-bin planes, built once per frame through ``media._FrameMemo``,
+whose rule the ``media`` docstring states.  The histogram is then one
+``bincount`` over the window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy import ndimage
@@ -83,11 +81,10 @@ def detect_fast(gray, threshold: float = 20.0) -> list:
             for y, x in zip(ys, xs)]
 
 
-def _planes(gray) -> tuple:
-    """Gradient magnitude and 8-bin orientation planes of a frame's interior
-    pixels, after `_gray`'s pixel gate: entry (i, j) belongs to pixel
-    (x=j+1, y=i+1), from central differences."""
-    img = _gray(gray)
+def _planes(img: np.ndarray) -> tuple:
+    """Gradient magnitude and 8-bin orientation planes of a float64 frame's
+    interior pixels: entry (i, j) belongs to pixel (x=j+1, y=i+1), from
+    central differences."""
     gx = (img[1:-1, 2:] - img[1:-1, :-2]) / 2.0
     gy = (img[2:, 1:-1] - img[:-2, 1:-1]) / 2.0
     mag = np.hypot(gx, gy)
@@ -99,7 +96,15 @@ def _planes(gray) -> tuple:
 # the planes of the last two frames described: the KLT tracker describes its
 # left and right views in turn, each frame's points and corners in runs
 _frame_planes = _FrameMemo(_planes)
-_cells = {}  # patch size -> read-only (patch, patch) histogram index of bin 0
+
+
+@cache
+def _cells(patch: int) -> np.ndarray:
+    """The read-only (patch, patch) histogram index of each pixel's bin 0."""
+    c = np.arange(patch) // (patch // 4)
+    cell = (c[:, None] * 4 + c[None, :]) * 8
+    cell.flags.writeable = False
+    return cell
 
 
 def describe_patch(gray, p, patch: int = 16) -> np.ndarray:
@@ -112,24 +117,15 @@ def describe_patch(gray, p, patch: int = 16) -> np.ndarray:
     """
     _count("patch", patch, 4, "a multiple of 4", step=4)
     x, y = _point(p)
-    if not (isinstance(gray, np.ndarray) and gray.dtype == np.float64 and gray.ndim == 2):
-        gray = _gray(gray)
     mag, bins = _frame_planes(gray)
-    h, w = gray.shape
-    half = patch // 2
-    x0 = int(round(x)) - half
-    y0 = int(round(y)) - half
-    if x0 - 1 < 0 or y0 - 1 < 0 or x0 + patch + 1 > w or y0 + patch + 1 > h:
+    h, w = mag.shape  # the frame's interior
+    # the window's top-left entry in the planes, at pixel (x0 + 1, y0 + 1)
+    x0, y0 = int(round(x)) - patch // 2 - 1, int(round(y)) - patch // 2 - 1
+    if x0 < 0 or y0 < 0 or x0 + patch > w or y0 + patch > h:
         raise ValueError(f"descriptor window at {p} outside frame")
 
-    cell = _cells.get(patch)
-    if cell is None:
-        c = np.arange(patch) // (patch // 4)
-        cell = (c[:, None] * 4 + c[None, :]) * 8
-        cell.flags.writeable = False
-        _cells[patch] = cell
-    window = np.s_[y0 - 1:y0 - 1 + patch, x0 - 1:x0 - 1 + patch]
-    v = np.bincount((cell + bins[window]).ravel(), weights=mag[window].ravel(),
+    window = np.s_[y0:y0 + patch, x0:x0 + patch]
+    v = np.bincount((_cells(patch) + bins[window]).ravel(), weights=mag[window].ravel(),
                     minlength=DESCRIPTOR_DIM)
     norm = np.sqrt(v.dot(v))  # what np.linalg.norm computes, without its overhead
     if norm == 0.0:

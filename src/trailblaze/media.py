@@ -11,9 +11,10 @@ convert them with ``_gray`` and sample them with ``_bilinear``; every layer
 checks its inputs with the shared rules ``_count``, ``_finite``, ``_point``,
 ``_no_rows``, ``_real_array``, ``_rows``, ``_real`` and ``_finite_real``.
 Whole-frame work that several calls share is memoised with ``_FrameMemo``,
-one rule for every layer: the last two distinct frames, matched on exact
-shape and bytes with no hash, values read-only, and the build, with any
-check inside it such as the pixel gate, run on every miss.  The
+one rule for every layer: it takes the caller's frame, compares a float64
+2-D array as it is and anything else after ``_gray``, on exact shape and
+bytes with no hash, with the last two distinct frames; only a miss runs
+``_gray``'s pixel gate and then the build, whose values are read-only.  The
 synthetic generator renders textured square sprites moving along parametric
 paths, seen by a rectified pinhole stereo pair with horizontal baseline, and
 reports exact per-frame projections, disparities and the fundamental matrix.
@@ -181,15 +182,8 @@ def _gray(image) -> np.ndarray:
 
 
 class _FrameMemo:
-    """The tuple of arrays `build` derives from a float64 frame, kept for the
-    last two distinct frames.
-
-    A frame matches a slot on its exact shape and bytes: ``tobytes()`` and an
-    equality test, no hash, so a frame changed in place misses and is built
-    afresh.  Only a miss calls `build`, so a check inside it, such as
-    `_gray`'s pixel gate, runs on every miss and is skipped on a hit, whose
-    equal bytes passed it before.  The arrays are held read-only and
-    handed to every caller as they are.  ``slots`` is one immutable tuple,
+    """The tuple of arrays `build` derives from a frame's float64 grayscale,
+    under the module docstring's memo rule.  ``slots`` is one immutable tuple,
     most recently used first, replaced whole, so a thread sees either the old
     pair or the new pair and never a mix.
     """
@@ -200,7 +194,9 @@ class _FrameMemo:
         self.build = build
         self.slots = ()  # ((shape, bytes, value), ...)
 
-    def __call__(self, img: np.ndarray):
+    def __call__(self, frame):
+        plane = isinstance(frame, np.ndarray) and frame.dtype == np.float64 and frame.ndim == 2
+        img = frame if plane else _gray(frame)
         slots = self.slots
         data = img.tobytes()
         for i, (shape, held, value) in enumerate(slots):
@@ -208,7 +204,7 @@ class _FrameMemo:
                 if i:
                     self.slots = (slots[i],) + slots[:i] + slots[i + 1:]
                 return value
-        value = self.build(img)
+        value = self.build(_gray(img))
         for arr in value:
             arr.flags.writeable = False
         self.slots = ((img.shape, data, value),) + slots[:self.SLOTS - 1]

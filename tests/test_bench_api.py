@@ -30,13 +30,14 @@ def test_tracker_runs_on_a_rendered_clip(kind, track, tmp_path):
                               checks.DISPARITY_TOL_PX[kind])
 
 
-def test_dense_tracker_carries_no_state_across_clips(tmp_path):
-    # Farneback expansions are memoised across calls; running clip B between
-    # two runs of clip A must leave A's result unchanged
+@pytest.mark.parametrize("track", [glue.track_sparse, glue.track_dense], ids=["sparse", "dense"])
+def test_tracker_carries_no_state_across_clips(track, tmp_path):
+    # Lucas-Kanade pyramids, descriptor planes and Farneback expansions are
+    # memoised across calls; running clip B between two runs of clip A must
+    # leave A's result unchanged
     a, b = corpus.stereo_corpus(1)[:2]
     truth = corpus.render_stereo([a, b], tmp_path)
-    runs = [glue.track_dense(tmp_path / v.clip_id, v.clip_id, truth[v.clip_id].F)
-            for v in (a, b, a)]
+    runs = [track(tmp_path / v.clip_id, v.clip_id, truth[v.clip_id].F) for v in (a, b, a)]
     first, _, again = runs
     for name in ("descriptors", "trajectories", "starts", "pairs"):
         assert np.array_equal(getattr(first, name), getattr(again, name)), name

@@ -419,6 +419,44 @@ class TestLeaveOneActorOut:
         with pytest.raises(ValueError, match=f"^k must be an integer >= 1, got {k!r}$"):
             leave_one_actor_out(one_hot_videos(classes=2, actors=2, reps=2), k=k, epochs=2)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(C=0.0), "C must be > 0, got 0.0"),
+        (dict(C=np.nan), "C must be > 0, got nan"),
+        (dict(C="1"), "C must be > 0, got '1'"),
+        (dict(epochs=0), "epochs must be an integer >= 1, got 0"),
+        (dict(epochs=2.5), "epochs must be an integer >= 1, got 2.5"),
+        (dict(max_iters=0), "max_iters must be an integer >= 1, got 0"),
+        (dict(max_iters=True), "max_iters must be an integer >= 1, got True"),
+    ], ids=["C_zero", "C_nan", "C_str", "epochs_zero", "epochs_float", "max_iters_zero",
+            "max_iters_bool"])
+    def test_bad_argument_named_before_any_fit(self, kwargs, message, monkeypatch):
+        # these used to be named only after the first fold's codebook was fit
+        def no_fit(*args, **kw):
+            raise AssertionError("fit_gmm ran before the arguments were checked")
+        monkeypatch.setattr(classify, "fit_gmm", no_fit)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            leave_one_actor_out(one_hot_videos(classes=2, actors=3, reps=1), k=2, **kwargs)
+
+    @pytest.mark.parametrize("shape", [(2, 4, 3), (4,), (3,)], ids=["3d", "vector4", "vector3"])
+    def test_descriptors_not_2d_name_video(self, shape, monkeypatch):
+        # (2, 4, 3) and (4,) used to fail after a fit naming no clip; (3,), as wide
+        # as the other sets, was read as one descriptor
+        def no_fit(*args, **kw):
+            raise AssertionError("fit_gmm ran before the descriptor sets were checked")
+        monkeypatch.setattr(classify, "fit_gmm", no_fit)
+        videos = one_hot_videos(classes=3, actors=3, reps=1)
+        videos[4] = VideoSample("odd", videos[4].label, videos[4].actor, np.ones(shape))
+        with pytest.raises(ValueError, match=f"^clip_id 'odd' descriptors must be a 2-D array, "
+                                             f"got shape {re.escape(str(shape))}$"):
+            leave_one_actor_out(videos, k=2, epochs=2)
+
+    @pytest.mark.parametrize("empty", [np.zeros(0), np.zeros((0, 3))], ids=["(0,)", "(0, 3)"])
+    def test_empty_descriptor_set_is_valid(self, empty):
+        videos = one_hot_videos(classes=3, actors=3, reps=2)
+        videos[4] = VideoSample("empty", videos[4].label, videos[4].actor, empty)
+        cm = leave_one_actor_out(videos, k=2, epochs=2)
+        assert cm.counts.sum() == len(videos)
+
     def test_clip_id_under_two_actors_named(self):
         videos = one_hot_videos(classes=2, actors=2, reps=2)
         dup = next(v for v in videos if v.actor == "actor1")

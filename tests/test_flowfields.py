@@ -6,16 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from bench import corpus
+from bench import corpus, glue
 from trailblaze import flowfields
 from trailblaze.flowfields import (
     FB_ITERATIONS, FB_LEVELS, FB_POLY_N, FB_POLY_SIGMA, FB_WINDOW, LK_EPS, LK_MAX_ITERS,
-    LK_MIN_EIG_FACTOR, FlowField, TrackResult, _gradients, _pyramid, _unit_pair, farneback_flow,
+    LK_MIN_EIG_FACTOR, FlowField, TrackResult, _gradients, _pyramid, farneback_flow,
     lk_track, sample_flow,
 )
 from trailblaze.keypoints import detect_fast
 from trailblaze.media import (
-    ObjectPath, SceneSpec, _bilinear, _count, _gray, _no_rows, _rows, synth_stereo,
+    Frame, ObjectPath, SceneSpec, _bilinear, _count, _gray, _no_rows, _rows, synth_stereo,
 )
 
 
@@ -128,6 +128,15 @@ def lk_track_oracle(prev, next, points, levels: int = 3, window: int = 15) -> li
 def lk_track_parent(prev, next, points, levels: int = 3, window: int = 15) -> list:
     """lk_track as it was before it compacted the points still iterating,
     verbatim: every per-point array gathered through `act` on every iteration."""
+
+    def _unit_pair(prev, next) -> tuple:
+        """Both frames as float64 grayscale in 0-1 units; they must share dimensions."""
+        img0 = _gray(prev) / 255.0
+        img1 = _gray(next) / 255.0
+        if img0.shape != img1.shape:
+            raise ValueError(f"frames must share dimensions, got {img0.shape} and {img1.shape}")
+        return img0, img1
+
     img0, img1 = _unit_pair(prev, next)
     _count("levels", levels)
     _count("window", window, 5, "an odd integer", step=2)
@@ -349,6 +358,14 @@ def cold_memo():
     flowfields._expansions.clear()
     yield flowfields._expansions
     flowfields._expansions.clear()
+
+
+@pytest.fixture
+def cold_pyramids():
+    """An empty Lucas-Kanade pyramid memo before and after the test."""
+    flowfields._pyramids.clear()
+    yield flowfields._pyramids
+    flowfields._pyramids.clear()
 
 
 class TestGradients:
@@ -639,7 +656,7 @@ class TestFarnebackOracle:
     def test_stereo_frames_at_corpus_size_match_oracle(self, cold_memo):
         # the dense tracker's two calls per frame: left t-1 -> t, left t -> right t
         prev, now, right = stereo_frames()
-        assert len(flowfields._expansions(now / 255.0)) == FB_LEVELS == 3
+        assert len(flowfields._expansions(now)) == FB_LEVELS == 3
         cold_memo.clear()
         for a, b in [(prev, now), (now, right)]:
             got = farneback_flow(a, b)
@@ -673,14 +690,14 @@ class TestNoWrites:
         prev, now, right = stereo_frames()
         inputs = digest([prev, now, right])
         farneback_flow(prev, now)                           # both frames cold
-        prev_levels, now_levels = (flowfields._expansions(im / 255.0) for im in (prev, now))
+        prev_levels, now_levels = (flowfields._expansions(im) for im in (prev, now))
         held = digest(prev_levels + now_levels)
         farneback_flow(prev, now)                           # both warm
         farneback_flow(now, right)                          # one warm, one cold
         assert digest([prev, now, right]) == inputs
         assert digest(prev_levels + now_levels) == held
         assert len(cold_memo.slots) == 2         # now and right
-        assert flowfields._expansions(now / 255.0) is now_levels
+        assert flowfields._expansions(now) is now_levels
 
     def test_solve_flow_leaves_its_arguments_unchanged(self):
         rng = np.random.default_rng(40)
@@ -741,11 +758,80 @@ class TestExpansionMemo:
         img = smooth_texture(34, (24, 30))
         farneback_flow(img, img)
         assert len(cold_memo.slots) == 1
-        levels = flowfields._expansions(img / 255.0)
+        levels = flowfields._expansions(img)
         assert len(cold_memo.slots) == 1
         for stack in levels:
             with pytest.raises(ValueError, match="read-only"):
                 stack[0, 0, 0] = 1.0
+
+
+NINE_POINTS = [(12.0, 12.0), (20.4, 17.6), (30.0, 22.0)]
+
+
+def lk_nine(prev, next):
+    return lk_track(prev, next, NINE_POINTS, window=9)
+
+
+def same_result(a, b) -> bool:
+    return same_field(a, b) if isinstance(a, FlowField) else same_tracks(a, b)
+
+
+class TestFrameMemoRule:
+    def test_sparse_tracker_builds_each_frame_pyramid_once(self, tmp_path, monkeypatch,
+                                                           cold_pyramids):
+        # lk_track used to build both frames' pyramids on every call: 28 for 16 frames
+        built = []
+        pyramid = flowfields._pyramid
+        monkeypatch.setattr(flowfields, "_pyramid",
+                            lambda img, *a: built.append(img) or pyramid(img, *a))
+        video = corpus.stereo_corpus(1)[0]
+        truth = corpus.render_stereo([video], tmp_path)
+        result = glue.track_sparse(tmp_path / video.clip_id, video.clip_id,
+                                   truth[video.clip_id].F)
+        assert len(result.step_ms) == corpus.FRAMES - 2
+        assert 1 <= len(built) <= corpus.FRAMES
+
+    @pytest.mark.parametrize("track", [lk_nine, farneback_flow], ids=["lk_track", "farneback"])
+    def test_frames_of_two_sizes_named(self, track, cold_memo, cold_pyramids):
+        a, b = smooth_texture(49, (40, 48)), smooth_texture(49, (40, 50))
+        track(a, a)                      # one of them memoised
+        with pytest.raises(ValueError, match=r"^frames must share dimensions, got \(40, 48\) "
+                                             r"and \(40, 50\)$"):
+            track(a, b)
+
+    @pytest.mark.parametrize("track", [lk_nine, farneback_flow], ids=["lk_track", "farneback"])
+    def test_non_finite_pixel_named_after_mutation(self, track, cold_memo, cold_pyramids):
+        a, b = smooth_texture(50, (40, 48)), smooth_texture(51, (40, 48))
+        track(a, b)                      # both frames memoised clean
+        a[25, 18] = np.nan
+        with pytest.raises(ValueError, match=r"pixel \(x=18, y=25\) is not finite: nan"):
+            track(a, b)
+        a[25, 18] = 100.0
+        b[3, 30] = -np.inf
+        with pytest.raises(ValueError, match=r"pixel \(x=30, y=3\) is not finite: -inf"):
+            track(a, b)
+
+    @pytest.mark.parametrize("track", [lk_nine, farneback_flow], ids=["lk_track", "farneback"])
+    @pytest.mark.parametrize("channels", [1, 3], ids=["grey", "rgb"])
+    def test_frame_input_matches_its_float_array(self, track, channels, cold_memo,
+                                                 cold_pyramids):
+        rng = np.random.default_rng(53)
+        texture = smooth_texture(53, (36, 44))
+        planes = [texture + rng.normal(0.0, 8.0, texture.shape) for _ in range(channels)]
+        prev = Frame.from_array(np.stack(planes, axis=-1) if channels == 3 else planes[0])
+        next = Frame.from_array(np.roll(prev.data, (1, 2), axis=(0, 1)))
+        arrays = (_gray(prev), _gray(next))
+        want = None
+        for pair in [(prev, next), arrays, (prev, arrays[1]), (arrays[0], next)]:
+            for cold in (True, False):
+                if cold:
+                    cold_memo.clear()
+                    cold_pyramids.clear()
+                got = track(*pair)
+                want = got if want is None else want
+                assert same_result(got, want)
+        if track is lk_nine:
+            assert same_tracks(want, lk_track_parent(prev, next, NINE_POINTS, window=9))
 
 
 class TestSampleFlow:

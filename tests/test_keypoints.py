@@ -424,7 +424,7 @@ class TestDescribePatchMemo:
             with pytest.raises(ValueError, match="read-only"):
                 plane[0, 0] = 1
         with pytest.raises(ValueError, match="read-only"):
-            keypoints._cells[16][0, 0] = 1
+            keypoints._cells(16)[0, 0] = 1
 
     def test_non_finite_pixel_named_fresh_and_after_mutation(self, cold_planes):
         img = np.random.default_rng(43).uniform(0, 255, (40, 40))
