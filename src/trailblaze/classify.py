@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import fisher_vector, fit_gmm
-from .media import _count, _finite, _real, _real_array
+from .media import _count, _finite, _no_rows, _real, _real_array
 
 GMM_MAX_POINTS = 100_000  # a fold's codebook is fit on at most this many descriptors
 
@@ -84,11 +84,30 @@ def derive_seed(seed: int, tag: str) -> int:
     return zlib.crc32(f"{seed}:{tag}".encode()) & 0xFFFFFFFF
 
 
-def _train_args(C, epochs, seed) -> None:
+def _classes(examples) -> tuple:
+    """The sorted labels of `examples`; a ValueError unless there are at least 2."""
+    labels = tuple(sorted({e.label for e in examples}))
+    if len(labels) < 2:
+        raise ValueError("need at least 2 classes to train")
+    return labels
+
+
+def _train_args(C, epochs, seed, n: int) -> tuple:
+    """(lambda, T) of `train` on n >= 1 examples: lambda = 1/(C*n) and T = epochs*n
+    steps.  This is C's whole rule: C must be a real number > 0, not a bool,
+    with every step 1/(lambda t), t = 1..T, in float range, that is
+    0 < lambda*T < inf and 1/lambda < inf, so an infinite C, or one so large or
+    small that C*n or 1/(C*n) leaves float range, is refused for that n.
+    `epochs` must be an integer >= 1 and `seed` one >= 0."""
     if not (_real(C) and C > 0):
         raise ValueError(f"C must be > 0, got {C!r}")
     _count("epochs", epochs)
     _count("seed", seed, 0)
+    lam, T = 1.0 / (C * n), epochs * n
+    if not (0 < lam * T < math.inf and 1.0 / lam < math.inf):
+        raise ValueError(f"C must be finite with steps 1/(lambda t) in float range, got C = {C} "
+                         f"for n = {n} and {T} steps (lambda = 1/(C*n) = {lam})")
+    return lam, T
 
 
 def train(examples, C: float = 1.0, epochs: int = 50, seed: int = 0) -> SvmModel:
@@ -108,22 +127,15 @@ def train(examples, C: float = 1.0, epochs: int = 50, seed: int = 0) -> SvmModel
     and the biases are those of the per-step loop; no step touches a D-long
     array.
     """
-    _train_args(C, epochs, seed)
     examples = list(examples)
-    labels = tuple(sorted({e.label for e in examples}))
-    if len(labels) < 2:
-        raise ValueError("need at least 2 classes to train")
-    index = {lab: i for i, lab in enumerate(labels)}
+    labels = _classes(examples)
+    lam, T = _train_args(C, epochs, seed, len(examples))
     X = _feature_matrix(examples)
     Y = -np.ones((len(examples), len(labels)))
     for i, e in enumerate(examples):
-        Y[i, index[e.label]] = 1.0
+        Y[i, labels.index(e.label)] = 1.0
 
-    n, T = len(X), epochs * len(X)
-    lam = 1.0 / (C * n)
-    if not (0 < lam * T < math.inf and 1.0 / lam < math.inf):
-        raise ValueError(f"C must be finite with steps 1/(lambda t) in float range, got C = {C} "
-                         f"for n = {n} and {T} steps (lambda = 1/(C*n) = {lam})")
+    n = len(X)
     rng = np.random.default_rng(seed)
     order = np.concatenate([rng.permutation(n) for _ in range(epochs)])
     eta = 1.0 / (lam * np.arange(1, T + 1))
@@ -178,9 +190,18 @@ def leave_one_actor_out(videos, k: int = 64, C: float = 1.0, epochs: int = 50,
                         seed: int = 0, max_iters: int = 100) -> ConfusionMatrix:
     """One fold per actor: the fold's videos are tested against a codebook
     and SVM fit on the remaining actors only; fold confusion matrices are
-    summed into the blended matrix.  Every argument and descriptor set is
-    checked before the first fold is fit."""
-    _train_args(C, epochs, seed)
+    summed into the blended matrix.
+
+    Every refusal is a ValueError raised before the first codebook is fit:
+    k or max_iters not an integer >= 1; a clip_id under two actors; a
+    descriptor set that is not real numbers, has rows but is not 2-D, holds a
+    NaN or infinite entry, or differs in width from the first 2-D set (each
+    named by its clip_id); fewer than 2 actors or 2 classes; then fold by fold
+    in actor order, a training set that misses a class, a codebook pool
+    (capped at GMM_MAX_POINTS) of fewer than k descriptors, 0 included, and a
+    C, epochs or seed that `train` would refuse for the fold's training set
+    (`_train_args`).  The fold loop raises none of these: it only stacks,
+    fits and scores."""
     _count("k", k)
     _count("max_iters", max_iters)
     videos = list(videos)
@@ -193,7 +214,7 @@ def leave_one_actor_out(videos, k: int = 64, C: float = 1.0, epochs: int = 50,
         # converted before its shape is read, so a ragged set is named too
         named = f"clip_id {v.clip_id!r}"
         arr = _real_array(f"{named} descriptors", v.descriptors, "a 2-D array")
-        if arr.size and arr.ndim != 2:  # an empty set, (0,) or (0, N), encodes to zeros
+        if arr.ndim != 2 and not _no_rows(arr):  # a set with no rows encodes to zeros
             raise ValueError(f"{named} descriptors must be a 2-D array, got shape {arr.shape}")
         if arr.ndim == 2:
             # `_finite` formats the entry, so braces in the clip_id are doubled
@@ -202,36 +223,33 @@ def leave_one_actor_out(videos, k: int = 64, C: float = 1.0, epochs: int = 50,
             if arr.shape[1] != width[1]:
                 raise ValueError(f"clip_id {v.clip_id!r} has descriptors {arr.shape[1]} wide, but "
                                  f"clip_id {width[0]!r} has them {width[1]} wide")
-    actors = sorted({v.actor for v in videos})
-    if len(actors) < 2:
+    # actor: (training videos, test videos), in actor order
+    folds = {a: ([v for v in videos if v.actor != a], [v for v in videos if v.actor == a])
+             for a in sorted({v.actor for v in videos})}
+    if len(folds) < 2:
         raise ValueError("need at least 2 actors")
-    labels = tuple(sorted({v.label for v in videos}))
-    index = {lab: i for i, lab in enumerate(labels)}
-    counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
-
-    for actor in actors:
-        train_videos = [v for v in videos if v.actor != actor]
-        test_videos = [v for v in videos if v.actor == actor]
-        fold_labels = {v.label for v in train_videos}
-        if fold_labels != set(labels):
-            missing = sorted(set(labels) - fold_labels)
+    labels = _classes(videos)
+    for actor, (train_videos, _) in folds.items():
+        missing = sorted(set(labels) - {v.label for v in train_videos})
+        if missing:
             raise ValueError(f"fold for actor {actor} misses classes {missing} in training")
+        rows = min(sum(len(v.descriptors) for v in train_videos), GMM_MAX_POINTS)
+        if rows < k:
+            raise ValueError(f"fold for actor {actor} fits its codebook on {rows} "
+                             f"training descriptors, fewer than k = {k}")
+        _train_args(C, epochs, seed, len(train_videos))
 
+    counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
+    for actor, (train_videos, test_videos) in folds.items():
         fold_seed = derive_seed(seed, f"fold:{actor}")
-        pool = [v.descriptors for v in train_videos if len(v.descriptors)]
-        if not pool:
-            raise ValueError(f"fold for actor {actor} has no training descriptors")
-        pool = np.vstack(pool)
+        pool = np.vstack([v.descriptors for v in train_videos if len(v.descriptors)])
         if len(pool) > GMM_MAX_POINTS:
             rng = np.random.default_rng(fold_seed)
             pool = pool[rng.choice(len(pool), GMM_MAX_POINTS, replace=False)]
-        if len(pool) < k:
-            raise ValueError(f"fold for actor {actor} fits its codebook on {len(pool)} "
-                             f"training descriptors, fewer than k = {k}")
         codebook = fit_gmm(pool, k=k, seed=fold_seed, max_iters=max_iters)
         model = train([LabeledVideo(fisher_vector(v.descriptors, codebook), v.label, v.actor)
                        for v in train_videos], C=C, epochs=epochs, seed=fold_seed)
         for v in test_videos:
             fv = fisher_vector(v.descriptors, codebook)
-            counts[index[v.label], index[predict(model, fv)]] += 1
+            counts[labels.index(v.label), labels.index(predict(model, fv))] += 1
     return ConfusionMatrix(counts=counts, labels=labels)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .media import _gray, _rows
+from .media import _count, _finite, _gray, _real_array, _rows
 
 COMPONENTS = 3
 ALPHA = 0.02            # learning rate of matched components
@@ -29,6 +29,28 @@ class BackgroundModel:
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
+
+    def __post_init__(self):
+        """Each field as a float64 array of the weights' (K, h, w) shape, every
+        side >= 1, all finite, weights >= 0 and variances > 0; anything else is
+        a ValueError naming the field and, for a value, its entry."""
+        shape = None
+        for name in ("weights", "means", "variances"):
+            arr = _real_array(name, getattr(self, name), "a (K, h, w) array")
+            if arr.ndim != 3 or min(arr.shape) < 1:
+                raise ValueError(f"{name} must be a (K, h, w) array with sides >= 1, "
+                                 f"got shape {arr.shape}")
+            shape = shape or arr.shape
+            if arr.shape != shape:
+                raise ValueError(f"{name} has shape {arr.shape}, but weights have {shape}")
+            _finite(arr, f"{name} entry (component {{0}}, x={{2}}, y={{1}})")
+            setattr(self, name, arr)
+        for name, bad, rule in (("weights", self.weights < 0, ">= 0"),
+                                ("variances", self.variances <= 0, "> 0")):
+            if bad.any():
+                at = tuple(np.argwhere(bad)[0])
+                raise ValueError(f"{name} entry (component {at[0]}, x={at[2]}, y={at[1]}) must be "
+                                 f"{rule}, got {getattr(self, name)[at]}")
 
     @classmethod
     def initialize(cls, frame):
@@ -100,8 +122,8 @@ class Roi:
     h: int
 
     def __post_init__(self):
-        if self.w < 1 or self.h < 1:
-            raise ValueError("Roi must have positive size")
+        for name, least in (("x", 0), ("y", 0), ("w", 1), ("h", 1)):
+            _count(f"Roi {name}", getattr(self, name), least)
 
 
 def _merge(boxes: np.ndarray, reach) -> np.ndarray:

@@ -427,8 +427,13 @@ class TestLeaveOneActorOut:
         (dict(epochs=2.5), "epochs must be an integer >= 1, got 2.5"),
         (dict(max_iters=0), "max_iters must be an integer >= 1, got 0"),
         (dict(max_iters=True), "max_iters must be an integer >= 1, got True"),
+        # each fold trains on 4 videos, so 50 epochs take 200 steps
+        (dict(C=np.inf), "C must be finite with steps 1/(lambda t) in float range, got C = inf "
+                         "for n = 4 and 200 steps (lambda = 1/(C*n) = 0.0)"),
+        (dict(C=1e308), "C must be finite with steps 1/(lambda t) in float range, got C = 1e+308 "
+                        "for n = 4 and 200 steps (lambda = 1/(C*n) = 0.0)"),
     ], ids=["C_zero", "C_nan", "C_str", "epochs_zero", "epochs_float", "max_iters_zero",
-            "max_iters_bool"])
+            "max_iters_bool", "C_inf", "C_1e308"])
     def test_bad_argument_named_before_any_fit(self, kwargs, message, monkeypatch):
         # these used to be named only after the first fold's codebook was fit
         def no_fit(*args, **kw):
@@ -437,10 +442,41 @@ class TestLeaveOneActorOut:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             leave_one_actor_out(one_hot_videos(classes=2, actors=3, reps=1), k=2, **kwargs)
 
-    @pytest.mark.parametrize("shape", [(2, 4, 3), (4,), (3,)], ids=["3d", "vector4", "vector3"])
+    @pytest.mark.parametrize("case, message", [
+        ("one_class", "need at least 2 classes to train"),
+        ("class_of_second_actor", "fold for actor actor1 misses classes ['class2'] in training"),
+        ("second_pool_below_k", "fold for actor actor1 fits its codebook on 4 training "
+                                "descriptors, fewer than k = 8"),
+        ("second_pool_empty", "fold for actor actor1 fits its codebook on 0 training "
+                              "descriptors, fewer than k = 8"),
+    ], ids=["one_class", "class_of_second_actor", "second_pool_below_k", "second_pool_empty"])
+    def test_fold_refused_before_any_fit(self, case, message, monkeypatch):
+        # each used to be refused only after one fit, or after the first fold's fit
+        def no_fit(*args, **kw):
+            raise AssertionError("fit_gmm ran before the folds were checked")
+        monkeypatch.setattr(classify, "fit_gmm", no_fit)
+        videos = one_hot_videos(classes=3, actors=3, reps=1)
+        if case == "one_class":
+            videos = [v for v in videos if v.label == "class0"]
+        elif case == "class_of_second_actor":
+            # actor0's fold trains on actor1, who performs class2; actor1's fold misses it
+            videos = [v for v in videos if v.label != "class2" or v.actor == "actor1"]
+        else:
+            # actor1's fold trains on actor0 alone: 2 rows per set, or none; actor0's
+            # fold pools 24 rows
+            rows = 2 if case == "second_pool_below_k" else 0
+            videos = [VideoSample(v.clip_id, v.label, v.actor,
+                                  v.descriptors[:rows] if v.actor == "actor0" else v.descriptors)
+                      for v in one_hot_videos(classes=2, actors=2, reps=1)]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            leave_one_actor_out(videos, k=8, epochs=2)
+
+    @pytest.mark.parametrize("shape", [(2, 4, 3), (4,), (3,), (2, 0, 3)],
+                             ids=["3d", "vector4", "vector3", "3d_size0"])
     def test_descriptors_not_2d_name_video(self, shape, monkeypatch):
         # (2, 4, 3) and (4,) used to fail after a fit naming no clip; (3,), as wide
-        # as the other sets, was read as one descriptor
+        # as the other sets, was read as one descriptor; (2, 0, 3), with rows but
+        # no entries, failed in np.vstack in the fold loop
         def no_fit(*args, **kw):
             raise AssertionError("fit_gmm ran before the descriptor sets were checked")
         monkeypatch.setattr(classify, "fit_gmm", no_fit)

@@ -71,6 +71,44 @@ class TestBackgroundModel:
         with pytest.raises(ValueError, match=r"pixel \(x=6, y=3\)"):
             BackgroundModel.initialize(frame)
 
+    @pytest.mark.parametrize("field, value, named", [
+        ("means", np.zeros((3, 20, 29)),
+         r"^means has shape \(3, 20, 29\), but weights have \(3, 20, 30\)$"),
+        ("variances", np.nan, r"^variances entry \(component 2, x=7, y=5\) is not finite: nan$"),
+        ("weights", np.ones((20, 30)),
+         r"^weights must be a \(K, h, w\) array with sides >= 1, got shape \(20, 30\)$"),
+        ("weights", np.ones((0, 20, 30)),
+         r"^weights must be a \(K, h, w\) array with sides >= 1, got shape \(0, 20, 30\)$"),
+        ("means", np.full((3, 20, 30), -np.inf),
+         r"^means entry \(component 0, x=0, y=0\) is not finite: -inf$"),
+        ("weights", -0.5,
+         r"^weights entry \(component 2, x=7, y=5\) must be >= 0, got -0.5$"),
+        ("variances", 0.0, r"^variances entry \(component 2, x=7, y=5\) must be > 0, got 0.0$"),
+        ("means", np.zeros((3, 20, 30)) + 1j,
+         r"^means must be a \(K, h, w\) array of real numbers, got dtype complex128$"),
+    ], ids=["two_shapes", "nan_variance", "2d", "no_component", "inf_mean", "negative_weight",
+            "zero_variance", "complex_means"])
+    def test_bad_field_named(self, field, value, named):
+        # two shapes used to fail in update_and_subtract with numpy's broadcast
+        # error, NaN variances made every pixel foreground, and 2-D arrays were
+        # named only as a frame that does not match the model
+        model = BackgroundModel.initialize(np.zeros((20, 30)))
+        arrays = {name: getattr(model, name) for name in ("weights", "means", "variances")}
+        if np.ndim(value) == 0:  # one bad entry, at component 2, x=7, y=5
+            arrays[field] = arrays[field].copy()
+            arrays[field][2, 5, 7] = value
+        else:
+            arrays[field] = value
+        with pytest.raises(ValueError, match=named):
+            BackgroundModel(**arrays)
+
+    def test_fields_stored_as_float_arrays(self):
+        model = BackgroundModel.initialize(np.zeros((2, 3)))
+        got = BackgroundModel(model.weights.tolist(), model.means.astype(np.float32),
+                              model.variances.astype(np.int64))
+        for name in ("weights", "means", "variances"):
+            assert same_bits(getattr(got, name), getattr(model, name)), name
+
 
 def update_and_subtract_oracle(model: BackgroundModel, frame) -> tuple:
     """update_and_subtract with a rank inversion and put_along_axis picks: a
@@ -192,6 +230,23 @@ class TestBackgroundModelOracle:
                                 np.full((3, 1, 1), 4.0))
         _, mask = update_and_subtract(model, np.full((1, 1), 100.0))
         assert not mask.any()
+
+
+class TestRoi:
+    @pytest.mark.parametrize("args, named", [
+        ((1.5, 0, 1, 2), "^Roi x must be an integer >= 0, got 1.5$"),
+        ((0, -1, 1, 2), "^Roi y must be an integer >= 0, got -1$"),
+        ((0, 0, True, 2), "^Roi w must be an integer >= 1, got True$"),
+        ((0, 0, 0, 2), "^Roi w must be an integer >= 1, got 0$"),
+        ((0, 0, 2, 2.0), r"^Roi h must be an integer >= 1, got 2\.0$"),
+    ], ids=["float_x", "negative_y", "bool_w", "zero_w", "float_h"])
+    def test_bad_field_named(self, args, named):
+        # floats and bools used to construct, and a size error named no field
+        with pytest.raises(ValueError, match=named):
+            Roi(*args)
+
+    def test_numpy_integers_accepted(self):
+        assert Roi(np.int64(1), np.int32(0), np.int64(2), 3) == Roi(1, 0, 2, 3)
 
 
 def union_find_oracle(boxes, proximity):
